@@ -71,7 +71,6 @@ struct Caches {
     x: Matrix,
     embed_pre: Matrix,
     tokens_all: Matrix,
-    head_inputs: Vec<(Matrix, Matrix, Matrix)>,
     attn: Vec<Vec<AttentionCache>>,
     heads_all: Matrix,
     o_pre: Matrix,
@@ -121,7 +120,17 @@ impl AnvilLocalizer {
         assert!(!y.is_empty(), "empty training set");
         let mut rng = Rng::new(config.seed);
         let mut model = AnvilLocalizer::new(x.cols(), num_classes, *config, &mut rng);
-        let mut opt = model.make_optimizer();
+        let mut opt: Vec<ParamAdam> = model
+            .dense_layers_mut()
+            .iter()
+            .flat_map(|d| {
+                [
+                    ParamAdam::new(d.w.rows(), d.w.cols()),
+                    ParamAdam::new(1, d.b.cols()),
+                ]
+            })
+            .collect();
+        let mut grads = Vec::new();
 
         for _ in 0..config.epochs {
             let order = rng.permutation(x.rows());
@@ -130,8 +139,17 @@ impl AnvilLocalizer {
                 let by: Vec<usize> = chunk.iter().map(|&i| y[i]).collect();
                 let (logits, caches) = model.forward(&bx);
                 let (_, grad_logits) = loss::cross_entropy(&logits, &by);
-                let grads = model.backward(&caches, &grad_logits);
-                model.apply(&mut opt, &grads, config.learning_rate);
+                grads.clear();
+                model.backward(&caches, &grad_logits, Some(&mut grads));
+                for ((d, g), opts) in model
+                    .dense_layers_mut()
+                    .into_iter()
+                    .zip(&grads)
+                    .zip(opt.chunks_mut(2))
+                {
+                    opts[0].update(&mut d.w, &g.0, config.learning_rate);
+                    opts[1].update(&mut d.b, &g.1, config.learning_rate);
+                }
             }
         }
         model
@@ -162,7 +180,6 @@ impl AnvilLocalizer {
         // Row-major (B, T·D) reinterprets as (B·T, D) without copying order.
         let tokens_all = Matrix::from_vec(b * t, d, embed_act.into_vec());
 
-        let mut head_inputs = Vec::with_capacity(self.config.heads);
         let mut attn = vec![Vec::with_capacity(b); self.config.heads];
         let mut head_outputs: Vec<Matrix> = Vec::with_capacity(self.config.heads);
         for (h, attn_h) in attn.iter_mut().enumerate() {
@@ -183,7 +200,6 @@ impl AnvilLocalizer {
                 }
                 attn_h.push(cache);
             }
-            head_inputs.push((q_all, k_all, v_all));
             head_outputs.push(out_all);
         }
         // Concatenate heads along the feature axis → (B·T, D).
@@ -201,7 +217,6 @@ impl AnvilLocalizer {
                 x: x.clone(),
                 embed_pre,
                 tokens_all,
-                head_inputs,
                 attn,
                 heads_all,
                 o_pre,
@@ -210,26 +225,39 @@ impl AnvilLocalizer {
         )
     }
 
-    /// Backward pass: returns `(input_grad, parameter_grads)`.
-    fn backward(&self, c: &Caches, grad_logits: &Matrix) -> Grads {
+    /// Backward pass: returns `dL/dx`. Given `params`, it also pushes every
+    /// dense layer's `(dL/dW, dL/db)` there, in [`Self::dense_layers_mut`]
+    /// order; an attack step passes `None` and skips the weight gradients
+    /// (the input gradient is bit-identical either way).
+    fn backward(
+        &self,
+        c: &Caches,
+        grad_logits: &Matrix,
+        mut params: Option<&mut Vec<(Matrix, Matrix)>>,
+    ) -> Matrix {
         let b = c.x.rows();
         let t = self.config.tokens;
         let d = self.config.dim;
         let dh = d / self.config.heads;
+        let mut dense =
+            |layer: &Dense, input: &Matrix, grad_out: &Matrix| match params.as_deref_mut() {
+                Some(grads) => {
+                    let (gx, gw, gb) = layer.backward(input, grad_out);
+                    grads.push((gw, gb));
+                    gx
+                }
+                None => layer.backward_input(grad_out),
+            };
 
-        let (g_flat, g_out_w, g_out_b) = self.out.backward(&c.flat, grad_logits);
+        let g_flat = dense(&self.out, &c.flat, grad_logits);
         let g_o_act = Matrix::from_vec(b * t, d, g_flat.into_vec());
         let g_o_pre = g_o_act.zip_map(&c.o_pre, |g, p| if p > 0.0 { g } else { 0.0 });
-        let (g_heads_all, g_wo_w, g_wo_b) = self.wo.backward(&c.heads_all, &g_o_pre);
+        let g_heads_all = dense(&self.wo, &c.heads_all, &g_o_pre);
 
         let mut g_tokens = Matrix::zeros(b * t, d);
-        let mut g_wq = Vec::with_capacity(self.config.heads);
-        let mut g_wk = Vec::with_capacity(self.config.heads);
-        let mut g_wv = Vec::with_capacity(self.config.heads);
         for h in 0..self.config.heads {
             let cols: Vec<usize> = (h * dh..(h + 1) * dh).collect();
             let g_head_out = g_heads_all.select_cols(&cols);
-            let (q_all, k_all, v_all) = &c.head_inputs[h];
             let mut g_q_all = Matrix::zeros(b * t, dh);
             let mut g_k_all = Matrix::zeros(b * t, dh);
             let mut g_v_all = Matrix::zeros(b * t, dh);
@@ -243,29 +271,26 @@ impl AnvilLocalizer {
                     g_v_all.set_row(r, gv.row(i));
                 }
             }
-            let _ = (q_all, k_all, v_all);
-            let (g_tok_q, gw_q, gb_q) = self.wq[h].backward(&c.tokens_all, &g_q_all);
-            let (g_tok_k, gw_k, gb_k) = self.wk[h].backward(&c.tokens_all, &g_k_all);
-            let (g_tok_v, gw_v, gb_v) = self.wv[h].backward(&c.tokens_all, &g_v_all);
+            let g_tok_q = dense(&self.wq[h], &c.tokens_all, &g_q_all);
+            let g_tok_k = dense(&self.wk[h], &c.tokens_all, &g_k_all);
+            let g_tok_v = dense(&self.wv[h], &c.tokens_all, &g_v_all);
             g_tokens = g_tokens.add(&g_tok_q).add(&g_tok_k).add(&g_tok_v);
-            g_wq.push((gw_q, gb_q));
-            g_wk.push((gw_k, gb_k));
-            g_wv.push((gw_v, gb_v));
         }
 
         let g_embed_act = Matrix::from_vec(b, t * d, g_tokens.into_vec());
         let g_embed_pre = g_embed_act.zip_map(&c.embed_pre, |g, p| if p > 0.0 { g } else { 0.0 });
-        let (g_x, g_embed_w, g_embed_b) = self.embed.backward(&c.x, &g_embed_pre);
+        dense(&self.embed, &c.x, &g_embed_pre)
+    }
 
-        Grads {
-            input: g_x,
-            embed: (g_embed_w, g_embed_b),
-            wq: g_wq,
-            wk: g_wk,
-            wv: g_wv,
-            wo: (g_wo_w, g_wo_b),
-            out: (g_out_w, g_out_b),
+    /// Every dense layer, in the order [`Self::backward`] produces their
+    /// gradients: classifier, output projection, each head's Q/K/V, embed.
+    fn dense_layers_mut(&mut self) -> Vec<&mut Dense> {
+        let mut layers = vec![&mut self.out, &mut self.wo];
+        for ((q, k), v) in self.wq.iter_mut().zip(&mut self.wk).zip(&mut self.wv) {
+            layers.extend([q, k, v]);
         }
+        layers.push(&mut self.embed);
+        layers
     }
 
     /// Bit-exact encoding of the trained model for the model cache
@@ -339,51 +364,6 @@ impl AnvilLocalizer {
             out,
         })
     }
-
-    fn make_optimizer(&self) -> Vec<ParamAdam> {
-        let mut opts = Vec::new();
-        let mut push = |d: &Dense| {
-            opts.push(ParamAdam::new(d.w.rows(), d.w.cols()));
-            opts.push(ParamAdam::new(1, d.b.cols()));
-        };
-        push(&self.embed);
-        for h in 0..self.config.heads {
-            push(&self.wq[h]);
-            push(&self.wk[h]);
-            push(&self.wv[h]);
-        }
-        push(&self.wo);
-        push(&self.out);
-        opts
-    }
-
-    fn apply(&mut self, opts: &mut [ParamAdam], grads: &Grads, lr: f64) {
-        let mut i = 0;
-        let mut step = |opts: &mut [ParamAdam], d: &mut Dense, g: &(Matrix, Matrix)| {
-            opts[i].update(&mut d.w, &g.0, lr);
-            opts[i + 1].update(&mut d.b, &g.1, lr);
-            i += 2;
-        };
-        step(opts, &mut self.embed, &grads.embed);
-        for h in 0..self.config.heads {
-            step(opts, &mut self.wq[h], &grads.wq[h]);
-            step(opts, &mut self.wk[h], &grads.wk[h]);
-            step(opts, &mut self.wv[h], &grads.wv[h]);
-        }
-        step(opts, &mut self.wo, &grads.wo);
-        step(opts, &mut self.out, &grads.out);
-    }
-}
-
-/// All parameter gradients of one backward pass.
-struct Grads {
-    input: Matrix,
-    embed: (Matrix, Matrix),
-    wq: Vec<(Matrix, Matrix)>,
-    wk: Vec<(Matrix, Matrix)>,
-    wv: Vec<(Matrix, Matrix)>,
-    wo: (Matrix, Matrix),
-    out: (Matrix, Matrix),
 }
 
 impl DifferentiableModel for AnvilLocalizer {
@@ -398,8 +378,7 @@ impl DifferentiableModel for AnvilLocalizer {
     fn loss_and_input_grad(&self, x: &Matrix, targets: &[usize]) -> (f64, Matrix) {
         let (logits, caches) = self.forward(x);
         let (loss_value, grad_logits) = loss::cross_entropy(&logits, targets);
-        let grads = self.backward(&caches, &grad_logits);
-        (loss_value, grads.input)
+        (loss_value, self.backward(&caches, &grad_logits, None))
     }
 }
 
@@ -486,6 +465,27 @@ mod tests {
                     "grad[{r}][{c}] {} vs {fd}",
                     grad.get(r, c)
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn input_only_gradient_is_bit_identical_to_the_full_backward() {
+        let mut rng = Rng::new(8);
+        let model = AnvilLocalizer::new(6, 4, small_config(), &mut rng);
+        for batch in [1, 7] {
+            let x = Matrix::from_fn(batch, 6, |_, _| rng.uniform(0.0, 1.0));
+            let targets: Vec<usize> = (0..batch).map(|_| rng.index(4)).collect();
+            let (logits, caches) = model.forward(&x);
+            let (full_loss, grad_logits) = loss::cross_entropy(&logits, &targets);
+            let mut params = Vec::new();
+            let full_grad = model.backward(&caches, &grad_logits, Some(&mut params));
+            assert_eq!(params.len(), 3 + 3 * model.config.heads);
+            let (loss, grad) = model.loss_and_input_grad(&x, &targets);
+            assert_eq!(loss.to_bits(), full_loss.to_bits());
+            assert_eq!(grad.shape(), full_grad.shape());
+            for (a, b) in grad.as_slice().iter().zip(full_grad.as_slice()) {
+                assert_eq!(a.to_bits(), b.to_bits());
             }
         }
     }

@@ -142,8 +142,7 @@ impl DifferentiableModel for WiDeepLocalizer {
         let mut rng = Rng::new(0);
         let (z, caches) = self.encoder.forward(x, Mode::Eval, &mut rng);
         let (loss, grad_z) = self.gpc.loss_and_input_grad(&z, targets);
-        let (grad_x, _) = self.encoder.backward(&caches, &grad_z);
-        (loss, grad_x)
+        (loss, self.encoder.backward_input(&caches, &grad_z))
     }
 }
 
@@ -228,6 +227,24 @@ mod tests {
                     grad.get(r, c)
                 );
             }
+        }
+    }
+
+    #[test]
+    fn input_only_gradient_is_bit_identical_to_the_full_backward() {
+        let (x, y) = blobs(10, 6);
+        let model = WiDeepLocalizer::fit(&x, &y, 3, &small_config()).expect("fit");
+        let mut rng = Rng::new(7);
+        let q = Matrix::from_fn(9, 3, |_, _| rng.uniform(0.0, 1.0));
+        let targets: Vec<usize> = (0..9).map(|_| rng.index(3)).collect();
+        let (z, caches) = model.encoder.forward(&q, Mode::Eval, &mut rng);
+        let (full_loss, grad_z) = model.gpc.loss_and_input_grad(&z, &targets);
+        let (full_grad, _) = model.encoder.backward(&caches, &grad_z);
+        let (loss, grad) = model.loss_and_input_grad(&q, &targets);
+        assert_eq!(loss.to_bits(), full_loss.to_bits());
+        assert_eq!(grad.shape(), full_grad.shape());
+        for (a, b) in grad.as_slice().iter().zip(full_grad.as_slice()) {
+            assert_eq!(a.to_bits(), b.to_bits());
         }
     }
 

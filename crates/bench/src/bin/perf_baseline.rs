@@ -39,7 +39,12 @@
 //! trained-model cache: a small suite trained cold into a fresh disk
 //! cache against the warm restore from a reopen, with both paths
 //! asserted to sweep byte-identically to a cache-off `Suite::train`
-//! before the clock starts. Every variant's output is asserted
+//! before the clock starts. The `calloc_attack_step` section prices
+//! CALLOC's attack step at paper-scale B1: `loss_and_input_grad` (memory
+//! keys kept with the weights, input-only backward) against
+//! `calloc_bench::seed_calloc_loss_and_input_grad_reference` (memory
+//! re-embedded and the full backward run every step), timed over several
+//! rounds so the speedup carries its spread. Every variant's output is asserted
 //! bit-identical to the seed reference before it is timed — the
 //! determinism contract is checked, not assumed.
 //!
@@ -47,12 +52,12 @@
 //! cargo run -p calloc-bench --release --bin perf_baseline
 //! ```
 
-use calloc::CallocConfig;
+use calloc::{CallocConfig, CallocModel};
 use calloc_baselines::{GpcConfig, GpcLocalizer, KnnLocalizer};
 use calloc_bench::{
-    assert_bits_eq, seed_cholesky_reference, seed_gpc_loss_and_input_grad_reference,
-    seed_gpc_scores_reference, seed_matmul_reference, seed_scenario_generate_reference,
-    seed_sq_dists_reference, seed_trajectory_set_reference,
+    assert_bits_eq, seed_calloc_loss_and_input_grad_reference, seed_cholesky_reference,
+    seed_gpc_loss_and_input_grad_reference, seed_gpc_scores_reference, seed_matmul_reference,
+    seed_scenario_generate_reference, seed_sq_dists_reference, seed_trajectory_set_reference,
 };
 use calloc_eval::{ExecSpec, Localizer, ModelCache, StoreError, Suite, SuiteProfile, SweepSpec};
 use calloc_nn::DifferentiableModel;
@@ -786,6 +791,80 @@ fn main() {
         cache_cold_ms / cache_warm_ms,
     );
 
+    // --- CALLOC attack step: input-only backward against kept memory keys ---
+    // Paper-scale B1 (64 RPs x 156 APs, the default CALLOC widths). The
+    // reference re-embeds the frozen memory and runs the full backward on
+    // every step; the model keeps the keys with its weights and computes
+    // only the input gradient. Bit-identity is asserted before timing, and
+    // the speedup is timed in several rounds so its spread is on record.
+    let b1 = Building::generate(BuildingId::B1.spec(), 1);
+    let b1_scenario = Scenario::generate(&b1, &CollectionConfig::paper(), 1);
+    let b1_train = &b1_scenario.train;
+    let calloc = CallocModel::new(
+        CallocModel::prototypes_from(b1_train),
+        &b1_train.rp_positions,
+        CallocConfig::default(),
+        &mut Rng::new(1),
+    );
+    let b1_test = &b1_scenario.test_per_device[0].1;
+    let rounds = 5;
+    let mut attack_rows = Vec::new();
+    for batch in [1, b1_test.len()] {
+        let rows: Vec<usize> = (0..batch).collect();
+        let x = b1_test.x.select_rows(&rows);
+        let targets = &b1_test.labels[..batch];
+        let (ref_loss, ref_grad) = seed_calloc_loss_and_input_grad_reference(&calloc, &x, targets);
+        let (loss, grad) = calloc.loss_and_input_grad(&x, targets);
+        assert_eq!(
+            ref_loss.to_bits(),
+            loss.to_bits(),
+            "CALLOC attack-step loss diverges at batch {batch}"
+        );
+        assert_bits_eq(
+            &ref_grad,
+            &grad,
+            &format!("CALLOC attack-step input grad diverges at batch {batch}"),
+        );
+        let mut full_ms = Vec::with_capacity(rounds);
+        let mut fast_ms = Vec::with_capacity(rounds);
+        let mut speedups = Vec::with_capacity(rounds);
+        for _ in 0..rounds {
+            let full = best_ms(reps, || {
+                seed_calloc_loss_and_input_grad_reference(&calloc, &x, targets)
+            });
+            let fast = best_ms(reps, || calloc.loss_and_input_grad(&x, targets));
+            full_ms.push(full);
+            fast_ms.push(fast);
+            speedups.push(full / fast);
+        }
+        let median = |v: &mut Vec<f64>| {
+            v.sort_by(f64::total_cmp);
+            v[v.len() / 2]
+        };
+        let (full, fast, speedup) = (
+            median(&mut full_ms),
+            median(&mut fast_ms),
+            median(&mut speedups),
+        );
+        let (lo, hi) = (speedups[0], speedups[rounds - 1]);
+        println!(
+            "calloc_attack_step B1 batch {batch}: full backward {full:.3} ms | input-only \
+             {fast:.3} ms ({speedup:.2}x, {lo:.2}-{hi:.2}x over {rounds} rounds)"
+        );
+        let mut row = String::new();
+        write!(
+            row,
+            "    {{\"batch\": {batch}, \"rps\": {}, \"aps\": {}, \"full_backward_ms\": {full:.4}, \
+             \"input_only_ms\": {fast:.4}, \"speedup\": {speedup:.3}, \"speedup_min\": {lo:.3}, \
+             \"speedup_max\": {hi:.3}, \"speedup_spread\": {:.3}, \"rounds\": {rounds}}}",
+            b1_train.num_classes(),
+            b1_train.num_aps(),
+            (hi - lo) / speedup,
+        )
+        .expect("write to string");
+        attack_rows.push(row);
+    }
+
     let json = format!(
         "{{\n  \"bench\": \"tensor_kernels\",\n  \"threads\": {threads},\n  \
          \"available_parallelism\": {available},\n  \"reps\": {reps},\n  \"matmul\": [\n{}\n  ],\n  \
@@ -809,7 +888,8 @@ fn main() {
          \"resume_half_ms\": {resume_half_ms:.4}, \"resume_ratio\": {:.3}}},\n  \
          \"model_cache\": {{\"trainings\": {mc_members}, \"entries\": {mc_entries}, \
          \"cold_ms\": {cache_cold_ms:.4}, \"warm_ms\": {cache_warm_ms:.4}, \
-         \"warm_speedup\": {:.3}}}\n}}\n",
+         \"warm_speedup\": {:.3}}},\n  \
+         \"calloc_attack_step\": [\n{}\n  ]\n}}\n",
         rows.join(",\n"),
         chol_rows.join(",\n"),
         pair_rows.join(",\n"),
@@ -824,6 +904,7 @@ fn main() {
         quarantined_ms / plain_ms,
         resume_half_ms / plain_ms,
         cache_cold_ms / cache_warm_ms,
+        attack_rows.join(",\n"),
     );
     // Crash-safe, typed-error write: a killed bench can't leave a
     // truncated snapshot that looks like results.

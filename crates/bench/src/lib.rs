@@ -559,6 +559,72 @@ pub fn seed_gpc_loss_and_input_grad_reference(
     (loss, grad_x)
 }
 
+/// CALLOC's attack step before the fast path, rebuilt from the model's
+/// state bytes as the baseline for the `calloc_attack_step` section of
+/// the `perf_baseline` JSON snapshot: every call re-embeds the frozen
+/// reference memory through `H^O` and `Wk`, then runs the **full**
+/// backward — every weight gradient and the memory branch — and keeps
+/// only the input gradient. `CallocModel::loss_and_input_grad` (memory
+/// keys kept with the weights, input-only backward) must reproduce these
+/// bits exactly.
+///
+/// # Panics
+///
+/// Panics if the model's state bytes do not decode.
+pub fn seed_calloc_loss_and_input_grad_reference(
+    model: &calloc::CallocModel,
+    x: &Matrix,
+    targets: &[usize],
+) -> (f64, Matrix) {
+    use calloc_nn::attention::{attention_backward, attention_forward};
+    use calloc_nn::{loss, state, Mode};
+
+    let bytes = model.state_bytes();
+    let mut r = state::StateReader::new(&bytes);
+    let parts = (|| {
+        // The config header: two dims, four rates, two counts, the seed.
+        for _ in 0..2 {
+            r.usize()?;
+        }
+        for _ in 0..4 {
+            r.f64()?;
+        }
+        for _ in 0..2 {
+            r.usize()?;
+        }
+        r.u64()?;
+        Ok::<_, state::StateError>((
+            state::read_sequential(&mut r)?,
+            state::read_sequential(&mut r)?,
+            state::read_dense(&mut r)?,
+            state::read_dense(&mut r)?,
+            state::read_dense(&mut r)?,
+            r.matrix()?,
+        ))
+    })();
+    let (embed_c, embed_o, wq, wk, fc, memory_x) = parts.expect("CALLOC state decodes");
+
+    let mut rng = Rng::new(0);
+    let (h_c, caches_c) = embed_c.forward(x, Mode::Eval, &mut rng);
+    let (h_o_mem, caches_o_mem) = embed_o.forward(&memory_x, Mode::Eval, &mut rng);
+    let q_proj = wq.forward(&h_c);
+    let k_proj = wk.forward(&h_o_mem);
+    let (retrieved, attn) = attention_forward(&q_proj, &k_proj, &h_o_mem);
+    let context = retrieved.add(&h_c);
+    let logits = fc.forward(&context);
+    let (loss_value, grad_logits) = loss::cross_entropy(&logits, targets);
+
+    let (g_context, _, _) = fc.backward(&context, &grad_logits);
+    let (g_q_proj, g_k_proj, g_v) = attention_backward(&attn, &g_context);
+    let (g_hc_from_q, _, _) = wq.backward(&h_c, &g_q_proj);
+    let (g_ho_from_k, _, _) = wk.backward(&h_o_mem, &g_k_proj);
+    let g_ho_mem = g_ho_from_k.add(&g_v);
+    let g_hc = g_hc_from_q.add(&g_context);
+    let (g_input, _) = embed_c.backward(&caches_c, &g_hc);
+    std::hint::black_box(embed_o.backward(&caches_o_mem, &g_ho_mem));
+    (loss_value, g_input)
+}
+
 /// The seed repository's matmul kernel (naive i-k-j triple loop with its
 /// per-element `a == 0.0` skip), preserved verbatim as the shared baseline
 /// for the `matmul` criterion bench and the `perf_baseline` JSON snapshot
@@ -840,6 +906,27 @@ mod tests {
         let (loss, grad) = gpc.loss_and_input_grad(&x, &targets);
         assert_eq!(seed_loss.to_bits(), loss.to_bits(), "loss diverges");
         assert_bits_eq(&seed_grad, &grad, "GPC input grad diverges from seed");
+    }
+
+    #[test]
+    fn calloc_attack_step_is_bit_identical_to_the_full_backward_reference() {
+        use calloc::CallocModel;
+        use calloc_tensor::Rng;
+        let mut rng = Rng::new(44);
+        let memory = Matrix::from_fn(9, 14, |_, _| rng.uniform(0.0, 1.0));
+        let rps: Vec<(f64, f64)> = (0..9).map(|i| (i as f64, 0.5 * i as f64)).collect();
+        let model = CallocModel::new(memory, &rps, CallocConfig::fast(), &mut rng);
+        let x = Matrix::from_fn(6, 14, |_, _| rng.uniform(0.0, 1.0));
+        let targets = vec![0, 3, 8, 1, 5, 2];
+        let (seed_loss, seed_grad) =
+            seed_calloc_loss_and_input_grad_reference(&model, &x, &targets);
+        let (loss, grad) = model.loss_and_input_grad(&x, &targets);
+        assert_eq!(seed_loss.to_bits(), loss.to_bits(), "loss diverges");
+        assert_bits_eq(
+            &seed_grad,
+            &grad,
+            "CALLOC input grad diverges from the reference",
+        );
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The CALLOC hyperspace-attention network (§IV.B–C of the paper).
 
-use calloc_nn::attention::{attention_backward, attention_forward};
+use calloc_nn::attention::{attention_backward, attention_backward_query, attention_forward};
 use calloc_nn::state::{self, StateError, StateReader, StateWriter};
 use calloc_nn::{
     loss, Cache, Dense, DifferentiableModel, Layer, LayerGrad, Localizer, Mode, Sequential,
@@ -68,6 +68,11 @@ impl CallocConfig {
 /// classifier, and the *reference memory*: one prototype fingerprint per RP
 /// (the mean of that RP's offline fingerprints) together with the RP
 /// locations that act as the attention values `V`.
+///
+/// The memory's keys depend only on the weights, so the model keeps them
+/// embedded ([`MemoryKeys`]) next to the weights. Every constructor builds
+/// them and every weight write goes through [`CallocModel::update`], which
+/// rebuilds them, so they can never be stale.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct CallocModel {
     config: CallocConfig,
@@ -90,14 +95,48 @@ pub struct CallocModel {
     /// Scale used to normalize RP coordinates (for reporting).
     location_scale: f64,
     num_classes: usize,
+    /// The reference memory embedded by the current weights.
+    memory: MemoryKeys,
+}
+
+/// The reference memory as the attention sees it: `H^O` of the
+/// prototypes (embedded in eval mode, so it is a pure function of the
+/// weights), its layer caches for the training backward, and the keys
+/// `Wk · H^O`.
+#[derive(Debug, Clone)]
+struct MemoryKeys {
+    h_o: Matrix,
+    caches: Vec<Cache>,
+    k_proj: Matrix,
+}
+
+impl MemoryKeys {
+    fn embed(embed_o: &Sequential, wk: &Dense, memory_x: &Matrix) -> Self {
+        // Eval mode never draws from the RNG; any seed works.
+        let (h_o, caches) = embed_o.forward(memory_x, Mode::Eval, &mut Rng::new(0));
+        let k_proj = wk.forward(&h_o);
+        MemoryKeys {
+            h_o,
+            caches,
+            k_proj,
+        }
+    }
+}
+
+/// Mutable views of every trainable parameter, handed to the closure of
+/// [`CallocModel::update`].
+pub(crate) struct ParamsMut<'a> {
+    pub embed_c: &'a mut Sequential,
+    pub embed_o: &'a mut Sequential,
+    pub wq: &'a mut Dense,
+    pub wk: &'a mut Dense,
+    pub fc: &'a mut Dense,
 }
 
 /// Everything the training step needs from a forward pass.
 pub(crate) struct ForwardCaches {
     pub h_c: Matrix,
     caches_c: Vec<Cache>,
-    h_o_mem: Matrix,
-    caches_o_mem: Vec<Cache>,
     attn: calloc_nn::attention::AttentionCache,
     context: Matrix,
     pub logits: Matrix,
@@ -150,21 +189,27 @@ impl CallocModel {
             (if c == 0 { x } else { y }) / location_scale
         });
 
+        let embed_c = Sequential::new(vec![Layer::Dense(Dense::he(num_aps, d, rng)), Layer::Relu]);
+        let embed_o = Sequential::new(vec![
+            Layer::Dense(Dense::he(num_aps, d, rng)),
+            Layer::Relu,
+            Layer::Dropout {
+                rate: config.dropout,
+            },
+            Layer::GaussianNoise {
+                std: config.gaussian_noise,
+            },
+        ]);
+        let wq = Dense::xavier(d, config.attention_dim, rng);
+        let wk = Dense::xavier(d, config.attention_dim, rng);
+        let fc = Dense::xavier(d, num_classes, rng);
         CallocModel {
-            embed_c: Sequential::new(vec![Layer::Dense(Dense::he(num_aps, d, rng)), Layer::Relu]),
-            embed_o: Sequential::new(vec![
-                Layer::Dense(Dense::he(num_aps, d, rng)),
-                Layer::Relu,
-                Layer::Dropout {
-                    rate: config.dropout,
-                },
-                Layer::GaussianNoise {
-                    std: config.gaussian_noise,
-                },
-            ]),
-            wq: Dense::xavier(d, config.attention_dim, rng),
-            wk: Dense::xavier(d, config.attention_dim, rng),
-            fc: Dense::xavier(d, num_classes, rng),
+            memory: MemoryKeys::embed(&embed_o, &wk, &memory_x),
+            embed_c,
+            embed_o,
+            wq,
+            wk,
+            fc,
             memory_x,
             memory_v,
             location_scale,
@@ -225,8 +270,9 @@ impl CallocModel {
     }
 
     /// Full forward pass. `mode` controls the stochastic layers of the
-    /// `H^O` branch; the reference memory is always embedded in eval mode
-    /// so that the keys stay stable.
+    /// query branch; the reference memory is always embedded in eval mode
+    /// so that the keys stay stable — which is what lets the model keep
+    /// them ([`MemoryKeys`]) instead of re-embedding them per call.
     ///
     /// The attention performs a *soft fingerprint lookup*: the (possibly
     /// attacked) query `H^C` is matched against the clean memory keys
@@ -235,10 +281,8 @@ impl CallocModel {
     /// what bounds the damage a bounded input perturbation can do.
     pub(crate) fn forward(&self, x: &Matrix, mode: Mode, rng: &mut Rng) -> ForwardCaches {
         let (h_c, caches_c) = self.embed_c.forward(x, mode, rng);
-        let (h_o_mem, caches_o_mem) = self.embed_o.forward(&self.memory_x, Mode::Eval, rng);
         let q_proj = self.wq.forward(&h_c);
-        let k_proj = self.wk.forward(&h_o_mem);
-        let (retrieved, attn) = attention_forward(&q_proj, &k_proj, &h_o_mem);
+        let (retrieved, attn) = attention_forward(&q_proj, &self.memory.k_proj, &self.memory.h_o);
         // Residual fusion: the classifier sees the retrieved clean context
         // plus the query hyperspace itself. The retrieval anchors the
         // prediction to the clean memory; the residual keeps training
@@ -248,8 +292,6 @@ impl CallocModel {
         ForwardCaches {
             h_c,
             caches_c,
-            h_o_mem,
-            caches_o_mem,
             attn,
             context,
             logits,
@@ -284,7 +326,7 @@ impl CallocModel {
         // residual adds a direct path from the classifier into H^C.
         let (g_q_proj, g_k_proj, g_v) = attention_backward(&c.attn, &g_context);
         let (g_hc_from_q, g_wq_w, g_wq_b) = self.wq.backward(&c.h_c, &g_q_proj);
-        let (g_ho_from_k, g_wk_w, g_wk_b) = self.wk.backward(&c.h_o_mem, &g_k_proj);
+        let (g_ho_from_k, g_wk_w, g_wk_b) = self.wk.backward(&self.memory.h_o, &g_k_proj);
         let g_ho_mem = g_ho_from_k.add(&g_v);
 
         let mut g_hc = g_hc_from_q.add(&g_context);
@@ -292,7 +334,7 @@ impl CallocModel {
             g_hc = g_hc.add(extra);
         }
         let (g_input, grads_c) = self.embed_c.backward(&c.caches_c, &g_hc);
-        let (_, grads_o) = self.embed_o.backward(&c.caches_o_mem, &g_ho_mem);
+        let (_, grads_o) = self.embed_o.backward(&self.memory.caches, &g_ho_mem);
 
         ModelGrads {
             input: g_input,
@@ -302,6 +344,17 @@ impl CallocModel {
             wk: (g_wk_w, g_wk_b),
             fc: (g_fc_w, g_fc_b),
         }
+    }
+
+    /// The input half of [`Self::backward`] for an attack step: `dL/dx`
+    /// through the query branch only, skipping every weight gradient and
+    /// the memory branch (whose keys and values do not depend on `x`).
+    /// Bit-identical to `backward(c, grad_logits, None).input`.
+    fn backward_input(&self, c: &ForwardCaches, grad_logits: &Matrix) -> Matrix {
+        let g_context = self.fc.backward_input(grad_logits);
+        let g_q_proj = attention_backward_query(&c.attn, &g_context);
+        let g_hc = self.wq.backward_input(&g_q_proj).add(&g_context);
+        self.embed_c.backward_input(&c.caches_c, &g_hc)
     }
 
     /// Gradient of the `H^O` branch for a pair batch (alignment loss).
@@ -330,22 +383,17 @@ impl CallocModel {
             .collect()
     }
 
-    pub(crate) fn parts_mut(
-        &mut self,
-    ) -> (
-        &mut Sequential,
-        &mut Sequential,
-        &mut Dense,
-        &mut Dense,
-        &mut Dense,
-    ) {
-        (
-            &mut self.embed_c,
-            &mut self.embed_o,
-            &mut self.wq,
-            &mut self.wk,
-            &mut self.fc,
-        )
+    /// The one way to write the weights: `write` gets mutable views of
+    /// every parameter, and the memory keys are re-embedded afterwards.
+    pub(crate) fn update(&mut self, write: impl FnOnce(ParamsMut<'_>)) {
+        write(ParamsMut {
+            embed_c: &mut self.embed_c,
+            embed_o: &mut self.embed_o,
+            wq: &mut self.wq,
+            wk: &mut self.wk,
+            fc: &mut self.fc,
+        });
+        self.memory = MemoryKeys::embed(&self.embed_o, &self.wk, &self.memory_x);
     }
 
     /// Bit-exact encoding of the trained model for the model cache
@@ -408,7 +456,29 @@ impl CallocModel {
                 memory_v.shape()
             ));
         }
+        // The memory keys are embedded right here, so the memory branch's
+        // shapes must chain: a decodable but inconsistent state is an
+        // error, not a panic.
+        let mut width = memory_x.cols();
+        for layer in embed_o.layers() {
+            if let Layer::Dense(d) = layer {
+                if d.in_dim() != width {
+                    return Err(format!(
+                        "H^O layer expects width {} but receives {width}",
+                        d.in_dim()
+                    ));
+                }
+                width = d.out_dim();
+            }
+        }
+        if wk.in_dim() != width {
+            return Err(format!(
+                "key projection expects width {} but H^O has {width}",
+                wk.in_dim()
+            ));
+        }
         Ok(CallocModel {
+            memory: MemoryKeys::embed(&embed_o, &wk, &memory_x),
             config,
             embed_c,
             embed_o,
@@ -454,71 +524,6 @@ impl ModelGrads {
     }
 }
 
-#[doc(hidden)]
-impl CallocModel {
-    /// Debug access for gradient checking (hidden from docs; used by the
-    /// gradient-check example and tests).
-    pub fn debug_param_grads(&self, x: &Matrix, y: &[usize]) -> (Matrix, Matrix, Matrix, Matrix) {
-        let mut rng = Rng::new(0);
-        let fwd = self.forward(x, Mode::Eval, &mut rng);
-        let (_, grad_logits) = loss::cross_entropy(&fwd.logits, y);
-        let grads = self.backward(&fwd, &grad_logits, None);
-        let first_dense = |branch: &str, grads: &[LayerGrad]| -> Matrix {
-            for g in grads {
-                if let LayerGrad::Dense { w, .. } = g {
-                    return w.clone();
-                }
-            }
-            // Name the branch and what the backward pass actually
-            // produced, so a quarantined-cell payload is actionable.
-            let kinds: Vec<&str> = grads
-                .iter()
-                .map(|g| match g {
-                    LayerGrad::Dense { .. } => "Dense",
-                    LayerGrad::None => "None",
-                })
-                .collect();
-            panic!(
-                "CallocModel::debug_param_grads: no dense-layer gradient in the {branch} branch \
-                 ({} layer grads: {kinds:?})",
-                grads.len()
-            );
-        };
-        (
-            grads.fc.0.clone(),
-            grads.wq.0.clone(),
-            first_dense("H^C embedding", &grads.grads_c),
-            first_dense("H^O embedding", &grads.grads_o),
-        )
-    }
-
-    /// Debug access to the final classifier.
-    pub fn debug_fc_mut(&mut self) -> &mut Dense {
-        &mut self.fc
-    }
-
-    /// Debug access to the query projection.
-    pub fn debug_wq_mut(&mut self) -> &mut Dense {
-        &mut self.wq
-    }
-
-    /// Debug access to the first dense layer of the `H^C` branch.
-    pub fn debug_embed_c_first_mut(&mut self) -> &mut Dense {
-        match &mut self.embed_c.layers_mut()[0] {
-            Layer::Dense(d) => d,
-            _ => unreachable!("embed_c starts with a dense layer"),
-        }
-    }
-
-    /// Debug access to the first dense layer of the `H^O` branch.
-    pub fn debug_embed_o_first_mut(&mut self) -> &mut Dense {
-        match &mut self.embed_o.layers_mut()[0] {
-            Layer::Dense(d) => d,
-            _ => unreachable!("embed_o starts with a dense layer"),
-        }
-    }
-}
-
 impl DifferentiableModel for CallocModel {
     fn num_classes(&self) -> usize {
         self.num_classes
@@ -533,8 +538,7 @@ impl DifferentiableModel for CallocModel {
         let mut rng = Rng::new(0);
         let fwd = self.forward(x, Mode::Eval, &mut rng);
         let (loss_value, grad_logits) = loss::cross_entropy(&fwd.logits, targets);
-        let grads = self.backward(&fwd, &grad_logits, None);
-        (loss_value, grads.input)
+        (loss_value, self.backward_input(&fwd, &grad_logits))
     }
 }
 
@@ -553,6 +557,29 @@ impl Localizer for CallocModel {
 
     fn state(&self) -> Option<Vec<u8>> {
         Some(self.state_bytes())
+    }
+}
+
+/// The forward pass with the memory re-embedded from the current
+/// weights on every call — the reference the kept keys must reproduce.
+#[cfg(test)]
+impl CallocModel {
+    pub(crate) fn logits_uncached(&self, x: &Matrix) -> Matrix {
+        let mut rng = Rng::new(0);
+        let (h_c, _) = self.embed_c.forward(x, Mode::Eval, &mut rng);
+        let (h_o_mem, _) = self.embed_o.forward(&self.memory_x, Mode::Eval, &mut rng);
+        let q_proj = self.wq.forward(&h_c);
+        let k_proj = self.wk.forward(&h_o_mem);
+        let (retrieved, _) = attention_forward(&q_proj, &k_proj, &h_o_mem);
+        self.fc.forward(&retrieved.add(&h_c))
+    }
+}
+
+#[cfg(test)]
+pub(crate) fn assert_bits_eq(a: &Matrix, b: &Matrix) {
+    assert_eq!(a.shape(), b.shape());
+    for (x, y) in a.as_slice().iter().zip(b.as_slice()) {
+        assert_eq!(x.to_bits(), y.to_bits(), "{x} vs {y}");
     }
 }
 
@@ -635,6 +662,31 @@ mod tests {
     }
 
     #[test]
+    fn input_only_gradient_is_bit_identical_to_the_full_backward() {
+        let model = toy_model(11);
+        let mut rng = Rng::new(12);
+        for batch in [1, 9] {
+            let x = Matrix::from_fn(batch, 6, |_, _| rng.uniform(0.0, 1.0));
+            let targets: Vec<usize> = (0..batch).map(|_| rng.index(5)).collect();
+            let fwd = model.forward(&x, Mode::Eval, &mut rng);
+            let (full_loss, grad_logits) = loss::cross_entropy(&fwd.logits, &targets);
+            let full = model.backward(&fwd, &grad_logits, None);
+            let (loss, grad) = model.loss_and_input_grad(&x, &targets);
+            assert_eq!(loss.to_bits(), full_loss.to_bits());
+            assert_bits_eq(&grad, &full.input);
+        }
+    }
+
+    #[test]
+    fn kept_memory_keys_match_an_uncached_forward() {
+        let model = toy_model(13);
+        let x = Matrix::from_fn(4, 6, |r, c| ((r * 7 + c) as f64 * 0.13) % 1.0);
+        assert_bits_eq(&model.logits(&x), &model.logits_uncached(&x));
+        let restored = CallocModel::from_state(&model.state_bytes()).expect("decode");
+        assert_bits_eq(&restored.logits(&x), &restored.logits_uncached(&x));
+    }
+
+    #[test]
     fn attention_map_rows_are_distributions() {
         let model = toy_model(6);
         let x = Matrix::from_fn(4, 6, |r, c| ((r + c) as f64 * 0.1) % 1.0);
@@ -682,6 +734,18 @@ mod tests {
                 "prefix {end} decoded"
             );
         }
+    }
+
+    #[test]
+    fn from_state_rejects_a_memory_branch_whose_shapes_do_not_chain() {
+        let mut bad = toy_model(14);
+        bad.memory_x = Matrix::zeros(5, 7);
+        let err = CallocModel::from_state(&bad.state_bytes()).unwrap_err();
+        assert!(err.contains("receives 7"), "{err}");
+        let mut bad = toy_model(15);
+        bad.wk = Dense::xavier(3, bad.config.attention_dim, &mut Rng::new(0));
+        let err = CallocModel::from_state(&bad.state_bytes()).unwrap_err();
+        assert!(err.contains("key projection"), "{err}");
     }
 
     #[test]

@@ -339,15 +339,16 @@ impl Opt {
 
     fn step(&mut self, model: &mut CallocModel, grads: crate::model::ModelGrads) {
         let (_input, grads_c, grads_o, gwq, gwk, gfc) = grads.into_parts();
-        let (embed_c, embed_o, wq, wk, fc) = model.parts_mut();
-        self.adam_c.step(embed_c, &grads_c);
-        self.adam_o.step(embed_o, &grads_o);
-        self.wq_w.update(&mut wq.w, &gwq.0, self.lr);
-        self.wq_b.update(&mut wq.b, &gwq.1, self.lr);
-        self.wk_w.update(&mut wk.w, &gwk.0, self.lr);
-        self.wk_b.update(&mut wk.b, &gwk.1, self.lr);
-        self.fc_w.update(&mut fc.w, &gfc.0, self.lr);
-        self.fc_b.update(&mut fc.b, &gfc.1, self.lr);
+        model.update(|p| {
+            self.adam_c.step(p.embed_c, &grads_c);
+            self.adam_o.step(p.embed_o, &grads_o);
+            self.wq_w.update(&mut p.wq.w, &gwq.0, self.lr);
+            self.wq_b.update(&mut p.wq.b, &gwq.1, self.lr);
+            self.wk_w.update(&mut p.wk.w, &gwk.0, self.lr);
+            self.wk_b.update(&mut p.wk.b, &gwk.1, self.lr);
+            self.fc_w.update(&mut p.fc.w, &gfc.0, self.lr);
+            self.fc_b.update(&mut p.fc.b, &gfc.1, self.lr);
+        });
     }
 }
 
@@ -368,7 +369,7 @@ impl CurriculumFromLessons {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use calloc_nn::Localizer;
+    use calloc_nn::{DifferentiableModel, Localizer};
     use calloc_sim::{Building, BuildingId, CollectionConfig, Scenario};
 
     fn small_scenario() -> Scenario {
@@ -455,6 +456,31 @@ mod tests {
         let b = fast_trainer().fit(&scenario.train);
         let x = &scenario.train.x;
         assert_eq!(a.model.predict_classes(x), b.model.predict_classes(x));
+    }
+
+    #[test]
+    fn memory_keys_follow_every_optimizer_step() {
+        let scenario = small_scenario();
+        let trainer = fast_trainer();
+        let train = &scenario.train;
+        let mut rng = Rng::new(14);
+        let mut model = CallocModel::new(
+            CallocModel::prototypes_from(train),
+            &train.rp_positions,
+            trainer.config,
+            &mut rng,
+        );
+        let mut opt = Opt::new(&model, trainer.config.learning_rate);
+        let rows: Vec<usize> = (0..16).collect();
+        let (bx, by) = (
+            train.x.select_rows(&rows),
+            rows.iter().map(|&i| train.labels[i]).collect::<Vec<_>>(),
+        );
+        let before = model.logits(&train.x);
+        trainer.train_step(&mut model, &mut opt, &bx, &bx, &by, &mut rng);
+        let after = model.logits(&train.x);
+        assert_ne!(before, after, "the step must move the weights");
+        crate::model::assert_bits_eq(&after, &model.logits_uncached(&train.x));
     }
 
     #[test]

@@ -43,7 +43,9 @@ pub mod sweep;
 
 pub use cache::ModelCache;
 pub use fault::{checkpoint_due, CellError, ExecSpec, FaultPlan, RunReport};
-pub use metrics::{attacked_inputs, evaluate, evaluate_mitm, AttackedInputs, Evaluation};
+pub use metrics::{
+    attacked_inputs, evaluate, evaluate_mitm, transfer_batch, AttackedInputs, Evaluation,
+};
 pub use report::{ascii_heatmap, csv_table, markdown_table, ResultRow, ResultTable};
 pub use store::{write_atomic, ResultStore, StoreError};
 pub use suite::{Suite, SuiteMember, SuiteProfile};

@@ -49,17 +49,37 @@ pub fn evaluate(
     attack: Option<&AttackConfig>,
     surrogate: Option<&dyn DifferentiableModel>,
 ) -> Evaluation {
+    assert!(!dataset.is_empty(), "cannot evaluate on an empty dataset");
     // A manipulation-style MITM applies exactly `craft`, so plain-config
     // evaluation is the manipulation special case of the MITM path.
     let mitm = attack.map(|config| MitmAttack::manipulation(config.clone()));
-    evaluate_mitm(model, dataset, mitm.as_ref(), surrogate)
+    let transfer = mitm
+        .as_ref()
+        .zip(surrogate)
+        .map(|(mitm, surrogate)| transfer_batch(surrogate, dataset, mitm));
+    evaluate_mitm(model, dataset, mitm.as_ref(), transfer.as_ref())
+}
+
+/// The transfer batch of a MITM attack on `dataset`: the attack crafted
+/// on the `surrogate`'s gradients. It does not depend on the victim, so
+/// one batch serves every member evaluated under the same attack on the
+/// same data — the sweep engine crafts it once per such group.
+pub fn transfer_batch(
+    surrogate: &dyn DifferentiableModel,
+    dataset: &Dataset,
+    attack: &MitmAttack,
+) -> Matrix {
+    attack.apply(surrogate, &dataset.x, &dataset.labels)
 }
 
 /// Evaluates `model` on `dataset` under a full MITM attack (manipulation
 /// *or* spoofing injection), with the same strongest-available-adversary
-/// rule as [`evaluate`]: both the victim's own gradients and the surrogate
-/// (when present) craft a candidate batch, and the more damaging one is
-/// reported. This is what the sweep engine runs for every attack cell.
+/// rule as [`evaluate`]: the victim's own gradients (when it has them)
+/// craft one candidate batch, `transfer` — the attack's
+/// [`transfer_batch`] from a surrogate, when one is available — is the
+/// other, and the more damaging one is reported. This is what the sweep
+/// engine runs for every cell. Without an attack, `transfer` is ignored
+/// and the clean inputs are evaluated.
 ///
 /// # Panics
 ///
@@ -68,7 +88,7 @@ pub fn evaluate_mitm(
     model: &dyn Localizer,
     dataset: &Dataset,
     attack: Option<&MitmAttack>,
-    surrogate: Option<&dyn DifferentiableModel>,
+    transfer: Option<&Matrix>,
 ) -> Evaluation {
     assert!(!dataset.is_empty(), "cannot evaluate on an empty dataset");
     let eval_on = |x: &Matrix| -> Evaluation {
@@ -84,18 +104,17 @@ pub fn evaluate_mitm(
     let Some(mitm) = attack else {
         return eval_on(&dataset.x);
     };
-    let mut candidates: Vec<Matrix> = Vec::new();
-    if let Some(victim) = model.as_differentiable() {
-        candidates.push(mitm.apply(victim, &dataset.x, &dataset.labels));
-    }
-    if let Some(sur) = surrogate {
-        candidates.push(mitm.apply(sur, &dataset.x, &dataset.labels));
-    }
+    let white_box = model
+        .as_differentiable()
+        .map(|victim| mitm.apply(victim, &dataset.x, &dataset.labels));
+    // Victim first: on a tie the later (transfer) candidate is reported,
+    // as `max_by` keeps the last maximum.
+    let candidates: Vec<&Matrix> = white_box.iter().chain(transfer).collect();
     if candidates.is_empty() {
         return eval_on(&dataset.x);
     }
     candidates
-        .iter()
+        .into_iter()
         .map(eval_on)
         .max_by(|a, b| {
             a.summary

@@ -18,19 +18,35 @@
 //!   dataset, then environment level, then attack cell; clean first when
 //!   requested, then kind → variant → targeting → ε → ø, each axis in
 //!   spec order).
-//! * [`SweepPlan::run`] evaluates the cells on
-//!   [`calloc_tensor::par::par_chunks`] — the work list is split into
-//!   contiguous chunks that idle pool workers reclaim off a shared queue
-//!   (a straggling GPC-heavy chunk no longer idles the rest of the pool)
-//!   — and merges the resulting rows **in plan-index order**.
+//! * [`SweepPlan::run`] executes the cells **grouped by transfer key**
+//!   and merges the resulting rows **in plan-index order**.
+//!
+//! # Execution: one job per transfer key
+//!
+//! A cell's transfer key is its (dataset slot, attack cell): the cells
+//! that share one differ only in the member. Every attack cell evaluates
+//! its member on two candidate batches — one crafted on the member's own
+//! gradients (when it has them) and one crafted on the suite surrogate —
+//! and the surrogate's batch does not depend on the member. So the engine
+//! groups the cells it executes by transfer key, and each group is one
+//! job on [`calloc_tensor::par::par_run`] (idle pool workers reclaim
+//! jobs off a shared queue): the job crafts the surrogate batch once,
+//! evaluates every member cell of the group on it, and drops it. Peak
+//! memory is one batch per running job. `run`, `run_fault_tolerant` and
+//! `run_with_store` all go through this one path; sharded and resumed
+//! runs group whatever cells they execute, so a group split across
+//! shards simply crafts its batch once per shard.
 //!
 //! # The plan-index merge contract
 //!
-//! Every cell is an independent, deterministic evaluation (its own attack
-//! config, its own derived seeds; crafting never mutates shared state),
-//! and rows are reassembled by ascending plan index, so a `ResultTable`
-//! produced by this engine is **bit-identical for every thread count**
-//! (`CALLOC_THREADS` ∈ {1, 2, 4, …}). `tests/determinism.rs` asserts the
+//! Grouping changes which work is shared, never a result: every cell is
+//! still a deterministic function of its own inputs (its attack config,
+//! its derived seeds, a transfer batch that is bit-identical however
+//! often it is crafted; crafting never mutates shared state), and rows
+//! are reassembled by ascending plan index, so a `ResultTable` produced
+//! by this engine is **bit-identical for every thread count**
+//! (`CALLOC_THREADS` ∈ {1, 2, 4, …}) and to evaluating every cell on its
+//! own with [`crate::evaluate_mitm`]. `tests/determinism.rs` asserts the
 //! table equality and `tests/golden_reports.rs` pins exact CSV bytes.
 //!
 //! # Adding a new attack axis
@@ -84,7 +100,9 @@
 //!   deterministic retry budget — see [`crate::fault::ExecSpec`]. A
 //!   cell that panics past its budget becomes a recorded
 //!   [`crate::fault::CellError`] in the [`crate::fault::RunReport`],
-//!   never a lost sweep and never a silently dropped row.
+//!   never a lost sweep and never a silently dropped row. The boundary
+//!   is per cell, inside its group job: a poisoned cell is retried or
+//!   quarantined alone, and its group siblings' rows are unaffected.
 //!
 //! The determinism law extends to faults: because rows are keyed and
 //! merged by plan index and retries replay identical inputs, a sweep
@@ -95,6 +113,7 @@
 //! `tests/fault_tolerance.rs` pins each of those paths against the
 //! golden CSV, with faults injected via [`crate::fault::FaultPlan`].
 
+use std::collections::BTreeMap;
 use std::ops::Range;
 use std::path::Path;
 use std::sync::Mutex;
@@ -102,10 +121,11 @@ use std::sync::Mutex;
 use calloc_attack::{AttackConfig, AttackKind, MitmAttack, MitmVariant, Targeting};
 use calloc_nn::{DifferentiableModel, Localizer};
 use calloc_sim::{Dataset, Scenario};
-use calloc_tensor::par;
+use calloc_tensor::par::{self, CaughtPanic};
+use calloc_tensor::Matrix;
 
 use crate::fault::{CellError, ExecSpec, RunReport};
-use crate::metrics::evaluate_mitm;
+use crate::metrics::{evaluate_mitm, transfer_batch};
 use crate::report::{ResultRow, ResultTable};
 use crate::store::{ResultStore, StoreError};
 
@@ -381,10 +401,10 @@ impl SweepPlan {
         self.cells.is_empty()
     }
 
-    /// Executes the plan: every cell is evaluated (fanned out on
-    /// [`par::par_chunks`]: contiguous chunks of the work list reclaimed
-    /// by idle pool workers) and the rows are merged in plan-index order,
-    /// so the returned table is bit-identical for every thread count.
+    /// Executes the plan: every cell is evaluated — grouped by transfer
+    /// key and fanned out on [`par::par_run`], see the module docs — and
+    /// the rows are merged in plan-index order, so the returned table is
+    /// bit-identical for every thread count.
     ///
     /// `models` must parallel the member label list. `datasets` holds one
     /// slot per (dataset label, environment level) pair, **dataset-major
@@ -393,16 +413,18 @@ impl SweepPlan {
     /// `spec.env_multipliers[e]`. With the default baseline singleton this
     /// degenerates to exactly one slot per label — the historical
     /// contract. The `surrogate` (usually [`crate::Suite::surrogate`])
-    /// transfer-attacks non-differentiable members; pass `None` to skip
+    /// crafts the transfer batch every member is also attacked with, which
+    /// is what reaches non-differentiable members; pass `None` to skip
     /// attacks on them.
     ///
     /// # Panics
     ///
     /// Panics if `models` / `datasets` lengths disagree with the plan's
     /// label lists (× environment levels), or if any dataset is empty.
-    /// A panicking **cell** unwinds to the fan-out boundary and aborts
-    /// the whole run — all-or-nothing, nothing partial to reason about;
-    /// use [`run_fault_tolerant`](Self::run_fault_tolerant) /
+    /// A panicking **cell** fails the whole run — all-or-nothing, nothing
+    /// partial to reason about: once the fan-out drains, the panic of the
+    /// lowest failing plan index is raised again. Use
+    /// [`run_fault_tolerant`](Self::run_fault_tolerant) /
     /// [`run_with_store`](Self::run_with_store) when cells may be lost
     /// or the process may be killed.
     pub fn run(
@@ -411,17 +433,11 @@ impl SweepPlan {
         surrogate: Option<&dyn DifferentiableModel>,
         datasets: &[&Dataset],
     ) -> ResultTable {
-        self.check_run_inputs(models, datasets);
-        let rows = par::par_chunks(self.cells.len(), 1, |range| {
-            range
-                .map(|i| self.evaluate_cell(&self.cells[i], models, surrogate, datasets))
-                .collect::<Vec<ResultRow>>()
-        });
-        let mut table = self.empty_table();
-        for row in rows.into_iter().flatten() {
-            table.push(row);
+        let report = self.run_fault_tolerant(models, surrogate, datasets, &ExecSpec::default());
+        if let Some(error) = report.errors.first() {
+            panic!("{}", error.payload);
         }
-        table
+        report.table
     }
 
     /// Validates the `run` input contract shared by every execution
@@ -616,9 +632,13 @@ impl SweepPlan {
         exec: &ExecSpec,
     ) -> RunReport {
         self.check_run_inputs(models, datasets);
+        let inputs = Inputs {
+            models,
+            surrogate,
+            datasets,
+        };
         let positions: Vec<usize> = (0..self.cells.len()).collect();
-        let (rows, errors, recovered) =
-            self.run_quarantined(&positions, models, surrogate, datasets, exec, None);
+        let (rows, errors, recovered) = self.execute(&positions, &inputs, exec, None);
         let mut table = self.empty_table();
         for row in rows {
             table.push(row);
@@ -672,9 +692,13 @@ impl SweepPlan {
             .filter(|&p| !store.contains(self.cells[p].plan_index))
             .collect();
         let executed = missing.len();
+        let inputs = Inputs {
+            models,
+            surrogate,
+            datasets,
+        };
         let sink = StoreSink::new(store, exec.checkpoint_every);
-        let (_, errors, recovered) =
-            self.run_quarantined(&missing, models, surrogate, datasets, exec, Some(&sink));
+        let (_, errors, recovered) = self.execute(&missing, &inputs, exec, Some(&sink));
         sink.finish()?;
         store.checkpoint()?;
         Ok(RunReport {
@@ -685,41 +709,52 @@ impl SweepPlan {
         })
     }
 
-    /// Quarantined fan-out over the given cell positions: each position
-    /// becomes one pool job whose panics are isolated per slot by
-    /// [`par::par_run_caught`]. Returns the successful rows in position
-    /// order (= ascending plan index), the quarantined cells, and how
-    /// many cells recovered within their retry budget. When a sink is
-    /// given, each finished row is also recorded the moment its cell
-    /// completes, so checkpoints can cover rows of still-running chunks.
-    fn run_quarantined(
+    /// The one execution path behind [`run`](Self::run),
+    /// [`run_fault_tolerant`](Self::run_fault_tolerant) and
+    /// [`run_with_store`](Self::run_with_store): the cells at `positions`
+    /// are grouped by [transfer key](Self::transfer_key), each group is
+    /// one pool job ([`run_group`](Self::run_group)), and the outcomes are
+    /// merged back by position (= ascending plan index). Returns the
+    /// successful rows, the quarantined cells, and how many cells
+    /// recovered within their retry budget. When a sink is given, each
+    /// finished row is also recorded the moment its cell completes, so
+    /// checkpoints can cover rows of still-running groups.
+    fn execute(
         &self,
         positions: &[usize],
-        models: &[&dyn Localizer],
-        surrogate: Option<&dyn DifferentiableModel>,
-        datasets: &[&Dataset],
+        inputs: &Inputs<'_>,
         exec: &ExecSpec,
         sink: Option<&StoreSink<'_>>,
     ) -> (Vec<ResultRow>, Vec<CellError>, usize) {
-        let jobs: Vec<Box<dyn FnOnce() -> (ResultRow, usize) + Send + '_>> = positions
-            .iter()
-            .map(|&pos| {
-                let job: Box<dyn FnOnce() -> (ResultRow, usize) + Send + '_> =
-                    Box::new(move || {
-                        let attempted = self.attempt_cell(pos, models, surrogate, datasets, exec);
-                        if let Some(sink) = sink {
-                            sink.record(attempted.0.clone());
-                        }
-                        attempted
-                    });
+        let block = self.spec.attack_cells().len();
+        let mut groups: BTreeMap<(usize, usize), Vec<usize>> = BTreeMap::new();
+        for &pos in positions {
+            groups
+                .entry(self.transfer_key(&self.cells[pos], block))
+                .or_default()
+                .push(pos);
+        }
+        let jobs: Vec<Box<dyn FnOnce() -> Vec<CellOutcome> + Send + '_>> = groups
+            .values()
+            .map(|group| {
+                let job: Box<dyn FnOnce() -> Vec<CellOutcome> + Send + '_> =
+                    Box::new(move || self.run_group(group, inputs, exec, sink));
                 job
             })
             .collect();
-        let outcomes = par::par_run_caught(jobs);
+        // Group jobs catch every panic themselves, so this never unwinds.
+        let mut outcomes: Vec<(usize, CellOutcome)> = groups
+            .values()
+            .flatten()
+            .copied()
+            .zip(par::par_run(jobs).into_iter().flatten())
+            .collect();
+        outcomes.sort_by_key(|&(pos, _)| pos);
+
         let mut rows = Vec::with_capacity(outcomes.len());
         let mut errors = Vec::new();
         let mut recovered = 0;
-        for (&pos, outcome) in positions.iter().zip(outcomes) {
+        for (pos, outcome) in outcomes {
             match outcome {
                 Ok((row, attempts)) => {
                     if attempts > 1 {
@@ -737,83 +772,137 @@ impl SweepPlan {
         (rows, errors, recovered)
     }
 
-    /// Evaluates one cell with its retry budget, returning the row and
-    /// the number of attempts consumed. Non-final attempts are caught
-    /// *inside* the job ([`par::caught`]); the final attempt runs bare,
-    /// so the [`par::par_run_caught`] fan-out boundary is the quarantine
-    /// of record for cells that exhaust their budget.
-    fn attempt_cell(
-        &self,
-        position: usize,
-        models: &[&dyn Localizer],
-        surrogate: Option<&dyn DifferentiableModel>,
-        datasets: &[&Dataset],
-        exec: &ExecSpec,
-    ) -> (ResultRow, usize) {
-        let cell = &self.cells[position];
-        for attempt in 0..exec.retries {
-            let outcome = par::caught(|| {
-                exec.faults.maybe_panic(cell.plan_index, attempt);
-                self.evaluate_cell(cell, models, surrogate, datasets)
-            });
-            if let Ok(row) = outcome {
-                return (row, attempt + 1);
-            }
-        }
-        exec.faults.maybe_panic(cell.plan_index, exec.retries);
-        (
-            self.evaluate_cell(cell, models, surrogate, datasets),
-            exec.retries + 1,
-        )
+    /// The transfer key of a cell: its dataset slot and its position in
+    /// the clean + attack block (`block` cells long). Cells sharing a key
+    /// differ only in the member, and the surrogate's transfer batch does
+    /// not depend on the member, so one crafted batch serves them all.
+    fn transfer_key(&self, cell: &SweepCell, block: usize) -> (usize, usize) {
+        (self.slot(cell), cell.plan_index % block)
     }
 
-    /// Evaluates one cell into its result row.
+    /// The dataset slot a cell evaluates on (see [`run`](Self::run)).
+    fn slot(&self, cell: &SweepCell) -> usize {
+        cell.dataset * self.spec.env_multipliers.len() + cell.env
+    }
+
+    /// Runs one transfer-key group (`group` holds ascending positions):
+    /// crafts the surrogate's transfer batch once, then evaluates every
+    /// member cell on it. Each cell runs behind its own panic boundary
+    /// with the retry budget, so a poisoned cell is quarantined without
+    /// touching its siblings' rows; if the shared craft itself panics on
+    /// every attempt, every cell of the group fails with that panic. The
+    /// batch is dropped when the group finishes, so at most one batch per
+    /// running job is alive.
+    fn run_group(
+        &self,
+        group: &[usize],
+        inputs: &Inputs<'_>,
+        exec: &ExecSpec,
+        sink: Option<&StoreSink<'_>>,
+    ) -> Vec<CellOutcome> {
+        let first = &self.cells[group[0]];
+        let data = inputs.datasets[self.slot(first)];
+        let mitm = first
+            .attack
+            .as_ref()
+            .map(|a| a.to_attack(self.spec.epsilon_unit, self.spec.seed));
+        let transfer = match (&mitm, inputs.surrogate) {
+            (Some(mitm), Some(surrogate)) => {
+                match retrying(exec, |_| transfer_batch(surrogate, data, mitm)) {
+                    Ok((batch, _)) => Some(batch),
+                    Err(panic) => return group.iter().map(|_| Err(panic.clone())).collect(),
+                }
+            }
+            _ => None,
+        };
+        group
+            .iter()
+            .map(|&pos| {
+                let cell = &self.cells[pos];
+                let model = inputs.models[cell.member];
+                let outcome = retrying(exec, |attempt| {
+                    exec.faults.maybe_panic(cell.plan_index, attempt);
+                    self.evaluate_cell(cell, model, data, mitm.as_ref(), transfer.as_ref())
+                });
+                if let (Ok((row, _)), Some(sink)) = (&outcome, sink) {
+                    sink.record(row.clone());
+                }
+                outcome
+            })
+            .collect()
+    }
+
+    /// Evaluates one cell into its result row: `mitm` is the cell's
+    /// attack (`None` for the clean cell) and `transfer` the surrogate
+    /// batch its group crafted for it.
     fn evaluate_cell(
         &self,
         cell: &SweepCell,
-        models: &[&dyn Localizer],
-        surrogate: Option<&dyn DifferentiableModel>,
-        datasets: &[&Dataset],
+        model: &dyn Localizer,
+        data: &Dataset,
+        mitm: Option<&MitmAttack>,
+        transfer: Option<&Matrix>,
     ) -> ResultRow {
-        let model = models[cell.member];
-        let n_env = self.spec.env_multipliers.len();
-        let data = datasets[cell.dataset * n_env + cell.env];
         let env_multiplier = self.spec.env_multipliers[cell.env];
         let (building, device) = &self.datasets[cell.dataset];
         let framework = &self.members[cell.member];
+        let eval = evaluate_mitm(model, data, mitm, transfer);
         match &cell.attack {
-            None => {
-                let eval = evaluate_mitm(model, data, None, None);
-                ResultRow::clean(
-                    cell.plan_index,
-                    framework,
-                    building,
-                    device,
-                    eval.summary.mean,
-                    eval.summary.max,
-                )
-                .with_env_multiplier(env_multiplier)
-            }
-            Some(attack) => {
-                let mitm = attack.to_attack(self.spec.epsilon_unit, self.spec.seed);
-                let eval = evaluate_mitm(model, data, Some(&mitm), surrogate);
-                ResultRow {
-                    plan_index: cell.plan_index,
-                    framework: framework.clone(),
-                    building: building.clone(),
-                    device: device.clone(),
-                    env_multiplier,
-                    attack: attack.kind.name().into(),
-                    variant: attack.variant.name().into(),
-                    targeting: attack.targeting.name().into(),
-                    epsilon: attack.epsilon,
-                    phi: attack.phi,
-                    mean_error_m: eval.summary.mean,
-                    max_error_m: eval.summary.max,
-                }
-            }
+            None => ResultRow::clean(
+                cell.plan_index,
+                framework,
+                building,
+                device,
+                eval.summary.mean,
+                eval.summary.max,
+            )
+            .with_env_multiplier(env_multiplier),
+            Some(attack) => ResultRow {
+                plan_index: cell.plan_index,
+                framework: framework.clone(),
+                building: building.clone(),
+                device: device.clone(),
+                env_multiplier,
+                attack: attack.kind.name().into(),
+                variant: attack.variant.name().into(),
+                targeting: attack.targeting.name().into(),
+                epsilon: attack.epsilon,
+                phi: attack.phi,
+                mean_error_m: eval.summary.mean,
+                max_error_m: eval.summary.max,
+            },
         }
     }
+}
+
+/// What executing one cell produced: its row and the attempts it took,
+/// or the panic of its last attempt.
+type CellOutcome = Result<(ResultRow, usize), CaughtPanic>;
+
+/// The model and data inputs shared by every execution entry point.
+struct Inputs<'a> {
+    models: &'a [&'a dyn Localizer],
+    surrogate: Option<&'a dyn DifferentiableModel>,
+    datasets: &'a [&'a Dataset],
+}
+
+/// Runs `attempt` behind a panic boundary up to [`ExecSpec::max_attempts`]
+/// times (it gets the attempt number), returning its value and the
+/// attempts consumed, or the last attempt's panic. Attempts replay
+/// identical inputs, so a retry that succeeds yields the exact value a
+/// clean first attempt would have.
+fn retrying<T>(
+    exec: &ExecSpec,
+    mut attempt: impl FnMut(usize) -> T,
+) -> Result<(T, usize), CaughtPanic> {
+    let mut last = None;
+    for n in 0..exec.max_attempts() {
+        match par::caught(|| attempt(n)) {
+            Ok(value) => return Ok((value, n + 1)),
+            Err(panic) => last = Some(panic),
+        }
+    }
+    Err(last.expect("max_attempts is at least one"))
 }
 
 /// Shared, lock-guarded funnel from concurrently finishing cells into a
@@ -1395,6 +1484,259 @@ mod tests {
             .expect("no-op run");
         assert_eq!(report.executed, 0);
         assert_eq!(report.table.rows(), plain.rows());
+    }
+
+    /// A gradient source that counts its `loss_and_input_grad` calls.
+    struct CountingGrad<'a> {
+        inner: &'a dyn DifferentiableModel,
+        calls: std::sync::atomic::AtomicUsize,
+    }
+
+    impl<'a> CountingGrad<'a> {
+        fn new(inner: &'a dyn DifferentiableModel) -> Self {
+            CountingGrad {
+                inner,
+                calls: Default::default(),
+            }
+        }
+
+        fn calls(&self) -> usize {
+            self.calls.load(std::sync::atomic::Ordering::Relaxed)
+        }
+    }
+
+    impl DifferentiableModel for CountingGrad<'_> {
+        fn num_classes(&self) -> usize {
+            self.inner.num_classes()
+        }
+
+        fn logits(&self, x: &Matrix) -> Matrix {
+            self.inner.logits(x)
+        }
+
+        fn loss_and_input_grad(&self, x: &Matrix, targets: &[usize]) -> (f64, Matrix) {
+            self.calls
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            self.inner.loss_and_input_grad(x, targets)
+        }
+    }
+
+    /// Three members (two transfer-only KNNs and a differentiable soft
+    /// KNN) over both devices of the tiny scenario, every attack axis
+    /// swept, plus the surrogate that crafts their transfer batches.
+    struct SharedFixture {
+        scenario: Scenario,
+        knn3: KnnLocalizer,
+        knn1: KnnLocalizer,
+    }
+
+    impl SharedFixture {
+        fn new() -> Self {
+            let scenario = tiny_scenario();
+            let fit = |k| {
+                KnnLocalizer::fit(
+                    scenario.train.x.clone(),
+                    scenario.train.labels.clone(),
+                    scenario.train.num_classes(),
+                    k,
+                )
+            };
+            let (knn3, knn1) = (fit(3), fit(1));
+            SharedFixture {
+                scenario,
+                knn3,
+                knn1,
+            }
+        }
+
+        fn plan(&self) -> SweepPlan {
+            let labels: Vec<(String, String)> = self
+                .scenario
+                .test_per_device
+                .iter()
+                .map(|(d, _)| ("B1".to_string(), d.acronym.clone()))
+                .collect();
+            let names = ["KNN3", "KNN1", "SoftKNN"].map(String::from);
+            SweepSpec::full_grid(vec![0.2], vec![100.0])
+                .with_seed(3)
+                .plan(&names, &labels)
+        }
+
+        fn data(&self) -> Vec<&Dataset> {
+            self.scenario
+                .test_per_device
+                .iter()
+                .map(|(_, t)| t)
+                .collect()
+        }
+    }
+
+    /// Each cell evaluated on its own through `evaluate_mitm`, with a
+    /// transfer batch crafted just for it.
+    fn per_cell_reference(
+        plan: &SweepPlan,
+        models: &[&dyn Localizer],
+        surrogate: &dyn DifferentiableModel,
+        data: &[&Dataset],
+    ) -> Vec<(u64, u64)> {
+        plan.cells()
+            .iter()
+            .map(|cell| {
+                let data = data[cell.dataset];
+                let mitm = cell
+                    .attack
+                    .as_ref()
+                    .map(|a| a.to_attack(plan.spec().epsilon_unit, plan.spec().seed));
+                let transfer = mitm.as_ref().map(|m| transfer_batch(surrogate, data, m));
+                let eval =
+                    evaluate_mitm(models[cell.member], data, mitm.as_ref(), transfer.as_ref());
+                (eval.summary.mean.to_bits(), eval.summary.max.to_bits())
+            })
+            .collect()
+    }
+
+    fn row_bits(table: &ResultTable) -> Vec<(u64, u64)> {
+        table
+            .rows()
+            .iter()
+            .map(|r| (r.mean_error_m.to_bits(), r.max_error_m.to_bits()))
+            .collect()
+    }
+
+    #[test]
+    fn each_transfer_batch_is_crafted_once_per_group() {
+        let fx = SharedFixture::new();
+        let soft = fx.knn3.to_soft(0.1);
+        let surrogate = fx.knn3.to_soft(0.05);
+        let models: Vec<&dyn Localizer> = vec![&fx.knn3, &fx.knn1, &soft];
+        let plan = fx.plan();
+        let data = fx.data();
+
+        // One craft's worth of gradient calls per (dataset slot, attack cell).
+        let once = CountingGrad::new(&surrogate);
+        let attacks = plan.spec().attack_cells();
+        for &slot in &data {
+            for attack in attacks.iter().flatten() {
+                let mitm = attack.to_attack(plan.spec().epsilon_unit, plan.spec().seed);
+                transfer_batch(&once, slot, &mitm);
+            }
+        }
+        assert!(once.calls() > 0);
+
+        let counting = CountingGrad::new(&surrogate);
+        let table = plan.run(&models, Some(&counting), &data);
+        assert_eq!(
+            counting.calls(),
+            once.calls(),
+            "the surrogate must craft once per group, not once per member"
+        );
+        assert_eq!(
+            row_bits(&table),
+            per_cell_reference(&plan, &models, &surrogate, &data),
+            "shared batches must reproduce the per-cell evaluation bit for bit"
+        );
+    }
+
+    #[test]
+    fn shared_batches_match_the_per_cell_reference_on_every_path() {
+        let fx = SharedFixture::new();
+        let soft = fx.knn3.to_soft(0.1);
+        let surrogate = fx.knn3.to_soft(0.05);
+        let models: Vec<&dyn Localizer> = vec![&fx.knn3, &fx.knn1, &soft];
+        let plan = fx.plan();
+        let data = fx.data();
+        let reference = per_cell_reference(&plan, &models, &surrogate, &data);
+        let exec = ExecSpec::default();
+
+        let plain = plan.run(&models, Some(&surrogate), &data);
+        assert_eq!(row_bits(&plain), reference, "run");
+
+        // Two shards split mid-plan, so transfer groups straddle them.
+        let mut merged = plan.memory_store();
+        for range in plan.shard_ranges(2) {
+            let mut store = plan.memory_store();
+            plan.shard(range)
+                .run_with_store(&models, Some(&surrogate), &data, &exec, &mut store)
+                .expect("shard run");
+            merged.merge(&store).expect("disjoint shards merge");
+        }
+        assert_eq!(
+            row_bits(&plan.table_from_store(&merged)),
+            reference,
+            "two shards merged"
+        );
+
+        let mut store = plan.memory_store();
+        plan.shard(0..plan.len() / 3)
+            .run_with_store(&models, Some(&surrogate), &data, &exec, &mut store)
+            .expect("first part");
+        let resumed = plan
+            .run_with_store(&models, Some(&surrogate), &data, &exec, &mut store)
+            .expect("resume");
+        assert_eq!(resumed.executed, plan.len() - plan.len() / 3);
+        assert_eq!(row_bits(&resumed.table), reference, "resumed store");
+        assert_eq!(resumed.table.to_csv(), plain.to_csv());
+    }
+
+    #[test]
+    fn a_faulted_cell_never_disturbs_its_group_siblings() {
+        par::silence_injected_panics();
+        let fx = SharedFixture::new();
+        let soft = fx.knn3.to_soft(0.1);
+        let surrogate = fx.knn3.to_soft(0.05);
+        let models: Vec<&dyn Localizer> = vec![&fx.knn3, &fx.knn1, &soft];
+        let plan = fx.plan();
+        let data = fx.data();
+        let plain = plan.run(&models, Some(&surrogate), &data);
+
+        // An attack cell of the middle member; its siblings are the cells
+        // of the other members one member block away.
+        let block = plan.len() / models.len();
+        let victim = block + 5;
+        assert!(plan.cells()[victim].attack.is_some());
+        let siblings = [victim - block, victim + block];
+
+        let retried = plan.run_fault_tolerant(
+            &models,
+            Some(&surrogate),
+            &data,
+            &ExecSpec::default()
+                .with_retries(1)
+                .with_faults(crate::fault::FaultPlan::none().panicking(victim, 1)),
+        );
+        assert!(retried.is_complete(), "{}", retried.summary());
+        assert_eq!(retried.recovered, 1);
+        assert_eq!(retried.table.rows(), plain.rows());
+
+        let quarantined = plan.run_fault_tolerant(
+            &models,
+            Some(&surrogate),
+            &data,
+            &ExecSpec::default()
+                .with_retries(1)
+                .with_faults(crate::fault::FaultPlan::none().panicking(victim, 5)),
+        );
+        assert_eq!(quarantined.errors.len(), 1);
+        assert_eq!(quarantined.errors[0].plan_index, victim);
+        assert_eq!(quarantined.recovered, 0);
+        let expected: Vec<&ResultRow> = plain
+            .rows()
+            .iter()
+            .filter(|r| r.plan_index != victim)
+            .collect();
+        let got: Vec<&ResultRow> = quarantined.table.rows().iter().collect();
+        assert_eq!(got, expected, "only the faulted cell may be missing");
+        for sibling in siblings {
+            assert_eq!(
+                quarantined
+                    .table
+                    .rows()
+                    .iter()
+                    .find(|r| r.plan_index == sibling),
+                Some(&plain.rows()[sibling]),
+                "sibling {sibling} of the faulted cell changed"
+            );
+        }
     }
 
     #[test]

@@ -91,13 +91,33 @@ pub fn attention_forward(q: &Matrix, k: &Matrix, v: &Matrix) -> (Matrix, Attenti
 ///
 /// Panics if `grad_out` does not match the forward output shape.
 pub fn attention_backward(cache: &AttentionCache, grad_out: &Matrix) -> (Matrix, Matrix, Matrix) {
+    // out = A V; all transposed products use the transpose-free kernels.
+    let grad_scores = score_grad(cache, grad_out);
+    let grad_v = cache.weights.transposed_matmul(grad_out);
+    let grad_q = grad_scores.matmul(&cache.k);
+    let grad_k = grad_scores.transposed_matmul(&cache.q);
+    (grad_q, grad_k, grad_v)
+}
+
+/// The query half of [`attention_backward`]: `dL/dQ` only, for callers
+/// whose keys and values are constants (an attack step against a frozen
+/// reference memory). Bit-identical to `attention_backward(..).0`.
+///
+/// # Panics
+///
+/// Panics if `grad_out` does not match the forward output shape.
+pub fn attention_backward_query(cache: &AttentionCache, grad_out: &Matrix) -> Matrix {
+    score_grad(cache, grad_out).matmul(&cache.k)
+}
+
+/// `dL/dS` for the pre-softmax scores `S = Q Kᵀ`, scale included: the
+/// part of the backward pass shared by the query and key gradients.
+fn score_grad(cache: &AttentionCache, grad_out: &Matrix) -> Matrix {
     assert_eq!(
         grad_out.shape(),
         (cache.q.rows(), cache.v.cols()),
         "grad_out shape mismatch"
     );
-    // out = A V; all transposed products use the transpose-free kernels.
-    let grad_v = cache.weights.transposed_matmul(grad_out);
     let grad_a = grad_out.matmul_transposed(&cache.v);
 
     // Softmax backward, row-wise: dS_ij = A_ij (dA_ij - Σ_k dA_ik A_ik)
@@ -111,11 +131,7 @@ pub fn attention_backward(cache: &AttentionCache, grad_out: &Matrix) -> (Matrix,
             *o = a * (g - dot);
         }
     }
-    let grad_scores = grad_scores.scale(cache.scale);
-
-    let grad_q = grad_scores.matmul(&cache.k);
-    let grad_k = grad_scores.transposed_matmul(&cache.q);
-    (grad_q, grad_k, grad_v)
+    grad_scores.scale(cache.scale)
 }
 
 #[cfg(test)]
@@ -223,6 +239,22 @@ mod tests {
                 let fd = (f(&q, &k, &vp) - f(&q, &k, &vm)) / (2.0 * eps);
                 assert!((gv.get(r, c) - fd).abs() < 1e-5, "dV[{r}][{c}]");
             }
+        }
+    }
+
+    #[test]
+    fn query_gradient_is_bit_identical_to_the_full_backward() {
+        let mut rng = Rng::new(4);
+        let q = rand_matrix(6, 5, &mut rng);
+        let k = rand_matrix(9, 5, &mut rng);
+        let v = rand_matrix(9, 3, &mut rng);
+        let (out, cache) = attention_forward(&q, &k, &v);
+        let g_out = rand_matrix(out.rows(), out.cols(), &mut rng);
+        let (gq, _, _) = attention_backward(&cache, &g_out);
+        let gq_only = attention_backward_query(&cache, &g_out);
+        assert_eq!(gq.shape(), gq_only.shape());
+        for (a, b) in gq.as_slice().iter().zip(gq_only.as_slice()) {
+            assert_eq!(a.to_bits(), b.to_bits());
         }
     }
 

@@ -67,12 +67,18 @@ impl Dense {
     /// Backward pass. Given the cached input and `dL/dy`, returns
     /// `(dL/dx, dL/dW, dL/db)`.
     pub fn backward(&self, input: &Matrix, grad_out: &Matrix) -> (Matrix, Matrix, Matrix) {
-        // G·Wᵀ and Xᵀ·G via the transpose-free kernels (bit-identical to
-        // materializing the transposes).
-        let grad_x = grad_out.matmul_transposed(&self.w);
+        // Xᵀ·G via the transpose-free kernel (bit-identical to
+        // materializing the transpose).
+        let grad_x = self.backward_input(grad_out);
         let grad_w = input.transposed_matmul(grad_out);
         let grad_b = grad_out.sum_rows();
         (grad_x, grad_w, grad_b)
+    }
+
+    /// The input half of [`Dense::backward`]: `dL/dx = dL/dy · Wᵀ`, with
+    /// no weight gradients. Bit-identical to `backward(..).0`.
+    pub fn backward_input(&self, grad_out: &Matrix) -> Matrix {
+        grad_out.matmul_transposed(&self.w)
     }
 }
 
@@ -186,24 +192,28 @@ impl Layer {
                 let (gx, gw, gb) = d.backward(x, grad_out);
                 (gx, LayerGrad::Dense { w: gw, b: gb })
             }
+            _ => (self.backward_input(cache, grad_out), LayerGrad::None),
+        }
+    }
+
+    /// The input half of [`Layer::backward`]: `dL/dx` only, skipping the
+    /// parameter gradients. Bit-identical to `backward(..).0`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cache` does not match the layer variant.
+    pub fn backward_input(&self, cache: &Cache, grad_out: &Matrix) -> Matrix {
+        match (self, cache) {
+            (Layer::Dense(d), Cache::Input(_)) => d.backward_input(grad_out),
             (Layer::Relu, Cache::Input(x)) => {
-                let gx = grad_out.zip_map(x, |g, v| if v > 0.0 { g } else { 0.0 });
-                (gx, LayerGrad::None)
+                grad_out.zip_map(x, |g, v| if v > 0.0 { g } else { 0.0 })
             }
-            (Layer::Sigmoid, Cache::Output(y)) => {
-                let gx = grad_out.zip_map(y, |g, s| g * s * (1.0 - s));
-                (gx, LayerGrad::None)
-            }
-            (Layer::Tanh, Cache::Output(y)) => {
-                let gx = grad_out.zip_map(y, |g, t| g * (1.0 - t * t));
-                (gx, LayerGrad::None)
-            }
-            (Layer::Dropout { .. }, Cache::Mask(mask)) => {
-                (grad_out.hadamard(mask), LayerGrad::None)
-            }
+            (Layer::Sigmoid, Cache::Output(y)) => grad_out.zip_map(y, |g, s| g * s * (1.0 - s)),
+            (Layer::Tanh, Cache::Output(y)) => grad_out.zip_map(y, |g, t| g * (1.0 - t * t)),
+            (Layer::Dropout { .. }, Cache::Mask(mask)) => grad_out.hadamard(mask),
             // Dropout in eval mode and noise layers are identity maps.
             (Layer::Dropout { .. }, Cache::None) | (Layer::GaussianNoise { .. }, Cache::None) => {
-                (grad_out.clone(), LayerGrad::None)
+                grad_out.clone()
             }
             (layer, cache) => panic!("cache {cache:?} does not match layer {layer:?}"),
         }

@@ -103,6 +103,28 @@ impl Sequential {
         }
         (grad, grads)
     }
+
+    /// The input half of [`Sequential::backward`]: `dL/dx` only, with no
+    /// parameter gradients — what an attack step needs. Bit-identical to
+    /// `backward(..).0`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `caches.len()` does not match the number of layers.
+    pub fn backward_input(&self, caches: &[Cache], grad_out: &Matrix) -> Matrix {
+        assert_eq!(
+            caches.len(),
+            self.layers.len(),
+            "cache count {} does not match layer count {}",
+            caches.len(),
+            self.layers.len()
+        );
+        let mut grad = grad_out.clone();
+        for (layer, cache) in self.layers.iter().zip(caches).rev() {
+            grad = layer.backward_input(cache, &grad);
+        }
+        grad
+    }
 }
 
 /// A classifier that exposes the gradient of its training loss with respect
@@ -186,8 +208,7 @@ impl DifferentiableModel for Sequential {
         let mut rng = Rng::new(0);
         let (logits, caches) = self.forward(x, Mode::Eval, &mut rng);
         let (loss_value, grad_logits) = loss::cross_entropy(&logits, targets);
-        let (grad_x, _) = self.backward(&caches, &grad_logits);
-        (loss_value, grad_x)
+        (loss_value, self.backward_input(&caches, &grad_logits))
     }
 }
 
@@ -245,6 +266,36 @@ mod tests {
                     "grad[{r}][{c}] {} vs {fd}",
                     grad.get(r, c)
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn input_only_gradient_is_bit_identical_to_the_full_backward() {
+        // Every layer variant, including the eval-mode identities.
+        let mut rng = Rng::new(9);
+        let net = Sequential::new(vec![
+            Layer::Dense(Dense::he(6, 10, &mut rng)),
+            Layer::Relu,
+            Layer::Dropout { rate: 0.3 },
+            Layer::Dense(Dense::xavier(10, 8, &mut rng)),
+            Layer::Tanh,
+            Layer::GaussianNoise { std: 0.2 },
+            Layer::Dense(Dense::xavier(8, 8, &mut rng)),
+            Layer::Sigmoid,
+            Layer::Dense(Dense::xavier(8, 5, &mut rng)),
+        ]);
+        for batch in [1, 11] {
+            let x = Matrix::from_fn(batch, 6, |_, _| rng.normal(0.0, 1.0));
+            let targets: Vec<usize> = (0..batch).map(|_| rng.index(5)).collect();
+            let (logits, caches) = net.forward(&x, Mode::Eval, &mut rng);
+            let (full_loss, grad_logits) = loss::cross_entropy(&logits, &targets);
+            let (full_grad, _) = net.backward(&caches, &grad_logits);
+            let (loss, grad) = net.loss_and_input_grad(&x, &targets);
+            assert_eq!(loss.to_bits(), full_loss.to_bits());
+            assert_eq!(grad.shape(), full_grad.shape());
+            for (a, b) in grad.as_slice().iter().zip(full_grad.as_slice()) {
+                assert_eq!(a.to_bits(), b.to_bits());
             }
         }
     }
