@@ -7,10 +7,11 @@
 //! Fig. 7 exposes (error rising from ø ≈ 60).
 
 use calloc_attack::{craft, AttackConfig};
-use calloc_nn::state::{self, StateError, StateReader, StateWriter};
+use calloc_nn::state;
 use calloc_nn::{
     loss, Adam, DifferentiableModel, Localizer, Mode, Optimizer, Sequential, TrainReport,
 };
+use calloc_tensor::codec::{Reader, Writer};
 use calloc_tensor::{Matrix, Rng};
 use serde::{Deserialize, Serialize};
 
@@ -137,7 +138,7 @@ impl AdvLocLocalizer {
     /// Bit-exact encoding of the trained model for the model cache
     /// (see [`calloc_nn::state`]).
     pub fn state_bytes(&self) -> Vec<u8> {
-        let mut w = StateWriter::new();
+        let mut w = Writer::new();
         state::write_sequential(&mut w, &self.net);
         state::write_train_report(&mut w, &self.report);
         w.into_bytes()
@@ -145,8 +146,8 @@ impl AdvLocLocalizer {
 
     /// Decodes a model written by [`Self::state_bytes`]; malformed input
     /// errors, never panics.
-    pub fn from_state(bytes: &[u8]) -> Result<Self, StateError> {
-        let mut r = StateReader::new(bytes);
+    pub fn from_state(bytes: &[u8]) -> Result<Self, String> {
+        let mut r = Reader::new(bytes);
         let net = state::read_sequential(&mut r)?;
         let report = state::read_train_report(&mut r)?;
         r.finish()?;

@@ -13,8 +13,9 @@
 //! tested.
 
 use calloc_nn::attention::{attention_backward, attention_forward, AttentionCache};
-use calloc_nn::state::{self, StateError, StateReader, StateWriter};
+use calloc_nn::state;
 use calloc_nn::{loss, Dense, DifferentiableModel, Localizer, ParamAdam};
+use calloc_tensor::codec::{Reader, Writer};
 use calloc_tensor::{Matrix, Rng};
 use serde::{Deserialize, Serialize};
 
@@ -296,7 +297,7 @@ impl AnvilLocalizer {
     /// Bit-exact encoding of the trained model for the model cache
     /// (see [`calloc_nn::state`]).
     pub fn state_bytes(&self) -> Vec<u8> {
-        let mut w = StateWriter::new();
+        let mut w = Writer::new();
         let c = &self.config;
         w.usize(c.tokens);
         w.usize(c.dim);
@@ -317,8 +318,8 @@ impl AnvilLocalizer {
 
     /// Decodes a model written by [`Self::state_bytes`]; malformed input
     /// errors, never panics.
-    pub fn from_state(bytes: &[u8]) -> Result<Self, StateError> {
-        let mut r = StateReader::new(bytes);
+    pub fn from_state(bytes: &[u8]) -> Result<Self, String> {
+        let mut r = Reader::new(bytes);
         let config = AnvilConfig {
             tokens: r.usize()?,
             dim: r.usize()?,
@@ -344,7 +345,7 @@ impl AnvilLocalizer {
         }
         let num_classes = r.usize()?;
         let embed = state::read_dense(&mut r)?;
-        let heads = |r: &mut StateReader| -> Result<Vec<Dense>, StateError> {
+        let heads = |r: &mut Reader| -> Result<Vec<Dense>, String> {
             (0..config.heads).map(|_| state::read_dense(r)).collect()
         };
         let wq = heads(&mut r)?;

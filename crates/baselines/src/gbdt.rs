@@ -11,7 +11,7 @@
 //! training fast at the dimensionalities SANGRIA uses it for (a 32-d
 //! latent).
 
-use calloc_nn::state::{StateError, StateReader, StateWriter};
+use calloc_tensor::codec::{Reader, Writer};
 use calloc_tensor::Matrix;
 use serde::{Deserialize, Serialize};
 
@@ -101,7 +101,7 @@ impl RegressionTree {
         RegressionTree { nodes }
     }
 
-    fn encode_into(&self, w: &mut StateWriter) {
+    fn encode_into(&self, w: &mut Writer) {
         w.usize(self.nodes.len());
         for node in &self.nodes {
             match node {
@@ -125,7 +125,7 @@ impl RegressionTree {
         }
     }
 
-    fn decode_from(r: &mut StateReader) -> Result<Self, StateError> {
+    fn decode_from(r: &mut Reader) -> Result<Self, String> {
         let n = r.usize()?;
         if n == 0 {
             return Err("regression tree with no nodes".to_string());
@@ -349,7 +349,7 @@ impl GbdtClassifier {
 
     /// Encodes the fitted ensemble into an open writer (used nested
     /// inside SANGRIA's state).
-    pub(crate) fn encode_into(&self, w: &mut StateWriter) {
+    pub(crate) fn encode_into(&self, w: &mut Writer) {
         w.usize(self.trees.len());
         for round in &self.trees {
             w.usize(round.len());
@@ -362,7 +362,7 @@ impl GbdtClassifier {
     }
 
     /// Decodes an ensemble written by [`Self::encode_into`].
-    pub(crate) fn decode_from(r: &mut StateReader) -> Result<Self, StateError> {
+    pub(crate) fn decode_from(r: &mut Reader) -> Result<Self, String> {
         let rounds = r.usize()?;
         if rounds > r.remaining() {
             return Err(format!(
@@ -402,15 +402,15 @@ impl GbdtClassifier {
     /// Bit-exact encoding of the fitted ensemble for the model cache
     /// (see [`calloc_nn::state`]).
     pub fn state_bytes(&self) -> Vec<u8> {
-        let mut w = StateWriter::new();
+        let mut w = Writer::new();
         self.encode_into(&mut w);
         w.into_bytes()
     }
 
     /// Decodes an ensemble written by [`Self::state_bytes`]; malformed
     /// input errors, never panics.
-    pub fn from_state(bytes: &[u8]) -> Result<Self, StateError> {
-        let mut r = StateReader::new(bytes);
+    pub fn from_state(bytes: &[u8]) -> Result<Self, String> {
+        let mut r = Reader::new(bytes);
         let model = Self::decode_from(&mut r)?;
         r.finish()?;
         Ok(model)

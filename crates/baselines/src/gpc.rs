@@ -7,8 +7,8 @@
 //! identical. The predictive scores are differentiable in closed form,
 //! giving white-box attack gradients.
 
-use calloc_nn::state::{StateError, StateReader, StateWriter};
 use calloc_nn::{DifferentiableModel, Localizer};
+use calloc_tensor::codec::{Reader, Writer};
 use calloc_tensor::{kernel, linalg, par, Matrix};
 use serde::{Deserialize, Serialize};
 
@@ -334,7 +334,7 @@ impl GpcLocalizer {
 
     /// Encodes the fitted model into an open writer (used standalone and
     /// nested inside WiDeep's state).
-    pub(crate) fn encode_into(&self, w: &mut StateWriter) {
+    pub(crate) fn encode_into(&self, w: &mut Writer) {
         w.matrix(&self.x_train);
         w.matrix(&self.alpha);
         w.f64(self.config.length_scale);
@@ -344,7 +344,7 @@ impl GpcLocalizer {
     }
 
     /// Decodes a model written by [`Self::encode_into`].
-    pub(crate) fn decode_from(r: &mut StateReader) -> Result<Self, StateError> {
+    pub(crate) fn decode_from(r: &mut Reader) -> Result<Self, String> {
         let x_train = r.matrix()?;
         let alpha = r.matrix()?;
         let config = GpcConfig {
@@ -373,15 +373,15 @@ impl GpcLocalizer {
     /// Bit-exact encoding of the fitted model for the model cache
     /// (see [`calloc_nn::state`]).
     pub fn state_bytes(&self) -> Vec<u8> {
-        let mut w = StateWriter::new();
+        let mut w = Writer::new();
         self.encode_into(&mut w);
         w.into_bytes()
     }
 
     /// Decodes a model written by [`Self::state_bytes`]; malformed input
     /// errors, never panics.
-    pub fn from_state(bytes: &[u8]) -> Result<Self, StateError> {
-        let mut r = StateReader::new(bytes);
+    pub fn from_state(bytes: &[u8]) -> Result<Self, String> {
+        let mut r = Reader::new(bytes);
         let model = Self::decode_from(&mut r)?;
         r.finish()?;
         Ok(model)

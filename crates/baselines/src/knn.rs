@@ -1,8 +1,8 @@
 //! K-nearest-neighbours localization (Fig. 1 baseline) and its
 //! differentiable soft surrogate.
 
-use calloc_nn::state::{StateError, StateReader, StateWriter};
 use calloc_nn::{DifferentiableModel, Localizer};
+use calloc_tensor::codec::{Reader, Writer};
 use calloc_tensor::{kernel, par, Matrix};
 
 /// Distance-weighted k-nearest-neighbours fingerprint matcher.
@@ -61,7 +61,7 @@ impl KnnLocalizer {
     /// Bit-exact encoding of the fitted matcher for the model cache
     /// (see [`calloc_nn::state`]).
     pub fn state_bytes(&self) -> Vec<u8> {
-        let mut w = StateWriter::new();
+        let mut w = Writer::new();
         w.matrix(&self.x_train);
         w.usize_slice(&self.y_train);
         w.usize(self.num_classes);
@@ -71,8 +71,8 @@ impl KnnLocalizer {
 
     /// Decodes a model written by [`Self::state_bytes`]; malformed input
     /// errors, never panics.
-    pub fn from_state(bytes: &[u8]) -> Result<Self, StateError> {
-        let mut r = StateReader::new(bytes);
+    pub fn from_state(bytes: &[u8]) -> Result<Self, String> {
+        let mut r = Reader::new(bytes);
         let x_train = r.matrix()?;
         let y_train = r.usize_vec()?;
         let num_classes = r.usize()?;

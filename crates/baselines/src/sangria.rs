@@ -10,8 +10,9 @@
 //! evaluation harness attacks SANGRIA by transfer from a surrogate — the
 //! realistic scenario for this architecture.
 
-use calloc_nn::state::{self, StateError, StateReader, StateWriter};
+use calloc_nn::state;
 use calloc_nn::{Adam, Dense, Layer, Localizer, Sequential, TrainConfig, Trainer};
+use calloc_tensor::codec::{Reader, Writer};
 use calloc_tensor::{Matrix, Rng};
 use serde::{Deserialize, Serialize};
 
@@ -125,7 +126,7 @@ impl SangriaLocalizer {
     /// Bit-exact encoding of the trained framework for the model cache
     /// (see [`calloc_nn::state`]).
     pub fn state_bytes(&self) -> Vec<u8> {
-        let mut w = StateWriter::new();
+        let mut w = Writer::new();
         state::write_sequential(&mut w, &self.encoder);
         self.classifier.encode_into(&mut w);
         w.into_bytes()
@@ -133,8 +134,8 @@ impl SangriaLocalizer {
 
     /// Decodes a model written by [`Self::state_bytes`]; malformed input
     /// errors, never panics.
-    pub fn from_state(bytes: &[u8]) -> Result<Self, StateError> {
-        let mut r = StateReader::new(bytes);
+    pub fn from_state(bytes: &[u8]) -> Result<Self, String> {
+        let mut r = Reader::new(bytes);
         let encoder = state::read_sequential(&mut r)?;
         let classifier = GbdtClassifier::decode_from(&mut r)?;
         r.finish()?;

@@ -7,10 +7,11 @@
 //! white-box — and, as the paper stresses, its GPC head makes it extremely
 //! sensitive to residual noise and perturbations.
 
-use calloc_nn::state::{self, StateError, StateReader, StateWriter};
+use calloc_nn::state;
 use calloc_nn::{
     Adam, Dense, DifferentiableModel, Layer, Localizer, Mode, Sequential, TrainConfig, Trainer,
 };
+use calloc_tensor::codec::{Reader, Writer};
 use calloc_tensor::{Matrix, Rng, TensorError};
 use serde::{Deserialize, Serialize};
 
@@ -111,7 +112,7 @@ impl WiDeepLocalizer {
     /// Bit-exact encoding of the trained framework for the model cache
     /// (see [`calloc_nn::state`]).
     pub fn state_bytes(&self) -> Vec<u8> {
-        let mut w = StateWriter::new();
+        let mut w = Writer::new();
         state::write_sequential(&mut w, &self.encoder);
         self.gpc.encode_into(&mut w);
         w.into_bytes()
@@ -119,8 +120,8 @@ impl WiDeepLocalizer {
 
     /// Decodes a model written by [`Self::state_bytes`]; malformed input
     /// errors, never panics.
-    pub fn from_state(bytes: &[u8]) -> Result<Self, StateError> {
-        let mut r = StateReader::new(bytes);
+    pub fn from_state(bytes: &[u8]) -> Result<Self, String> {
+        let mut r = Reader::new(bytes);
         let encoder = state::read_sequential(&mut r)?;
         let gpc = GpcLocalizer::decode_from(&mut r)?;
         r.finish()?;

@@ -578,9 +578,10 @@ pub fn seed_calloc_loss_and_input_grad_reference(
 ) -> (f64, Matrix) {
     use calloc_nn::attention::{attention_backward, attention_forward};
     use calloc_nn::{loss, state, Mode};
+    use calloc_tensor::codec::Reader;
 
     let bytes = model.state_bytes();
-    let mut r = state::StateReader::new(&bytes);
+    let mut r = Reader::new(&bytes);
     let parts = (|| {
         // The config header: two dims, four rates, two counts, the seed.
         for _ in 0..2 {
@@ -593,7 +594,7 @@ pub fn seed_calloc_loss_and_input_grad_reference(
             r.usize()?;
         }
         r.u64()?;
-        Ok::<_, state::StateError>((
+        Ok::<_, String>((
             state::read_sequential(&mut r)?,
             state::read_sequential(&mut r)?,
             state::read_dense(&mut r)?,

@@ -1,11 +1,12 @@
 //! The CALLOC hyperspace-attention network (§IV.B–C of the paper).
 
 use calloc_nn::attention::{attention_backward, attention_backward_query, attention_forward};
-use calloc_nn::state::{self, StateError, StateReader, StateWriter};
+use calloc_nn::state;
 use calloc_nn::{
     loss, Cache, Dense, DifferentiableModel, Layer, LayerGrad, Localizer, Mode, Sequential,
 };
 use calloc_sim::Dataset;
+use calloc_tensor::codec::{Reader, Writer};
 use calloc_tensor::{Matrix, Rng};
 use serde::{Deserialize, Serialize};
 
@@ -70,8 +71,8 @@ impl CallocConfig {
 /// locations that act as the attention values `V`.
 ///
 /// The memory's keys depend only on the weights, so the model keeps them
-/// embedded ([`MemoryKeys`]) next to the weights. Every constructor builds
-/// them and every weight write goes through [`CallocModel::update`], which
+/// embedded (`MemoryKeys`) next to the weights. Every constructor builds
+/// them and every weight write goes through the private `update`, which
 /// rebuilds them, so they can never be stale.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct CallocModel {
@@ -401,7 +402,7 @@ impl CallocModel {
     /// raw f64 bits, and the reference memory. [`Self::from_state`]
     /// restores a model whose every prediction is bit-identical.
     pub fn state_bytes(&self) -> Vec<u8> {
-        let mut w = StateWriter::new();
+        let mut w = Writer::new();
         let c = &self.config;
         w.usize(c.embedding_dim);
         w.usize(c.attention_dim);
@@ -426,8 +427,8 @@ impl CallocModel {
 
     /// Decodes a model written by [`Self::state_bytes`]. Malformed input
     /// errors; it never panics and never yields a partial model.
-    pub fn from_state(bytes: &[u8]) -> Result<CallocModel, StateError> {
-        let mut r = StateReader::new(bytes);
+    pub fn from_state(bytes: &[u8]) -> Result<CallocModel, String> {
+        let mut r = Reader::new(bytes);
         let config = CallocConfig {
             embedding_dim: r.usize()?,
             attention_dim: r.usize()?,

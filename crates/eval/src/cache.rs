@@ -29,10 +29,11 @@
 //! patterns; `tests/model_cache.rs` pins hits-indistinguishable-from-
 //! fresh-trains end to end).
 //!
-//! The persistence discipline is [`crate::store`]'s: a fixed header
-//! (magic, format version, key-scheme fingerprint), length-prefixed
-//! records, [`write_atomic`] checkpoints (the visible file is always a
-//! complete, decodable cache), stale-temp sweeping, typed
+//! The persistence discipline and the codec ([`calloc_tensor::codec`])
+//! are [`crate::store`]'s: a fixed header (magic, format version,
+//! key-scheme fingerprint), length-prefixed records,
+//! [`write_atomic`](crate::write_atomic) checkpoints (the visible file is
+//! always a complete, decodable cache), stale-temp sweeping, typed
 //! [`StoreError`]s, and strict overlap-is-an-error
 //! [`merge`](ModelCache::merge) semantics. Records are keyed by the FNV
 //! fingerprint of their full key string *and* carry the key itself, so a
@@ -40,7 +41,6 @@
 //! of silently serving the wrong model.
 
 use std::collections::BTreeMap;
-use std::fs;
 use std::path::{Path, PathBuf};
 
 use calloc::CallocModel;
@@ -48,11 +48,10 @@ use calloc_baselines::{
     AdvLocLocalizer, AnvilLocalizer, DnnLocalizer, GpcLocalizer, KnnLocalizer, SangriaLocalizer,
     WiDeepLocalizer,
 };
-use calloc_nn::state::{self, StateReader, StateWriter};
-use calloc_nn::{Localizer, Sequential};
+use calloc_nn::{state, Localizer, Sequential};
+use calloc_tensor::codec::{Fnv, Reader, Writer};
 
-use crate::store::{push_str, sweep_stale_temps, write_atomic, Reader, StoreError};
-use crate::sweep::Fnv;
+use crate::store::{check_header, checkpoint_file, read_existing, StoreError};
 
 /// Magic bytes leading every model-cache file.
 const MAGIC: &[u8; 8] = b"CALLOCMC";
@@ -65,18 +64,11 @@ const VERSION: u32 = 1;
 /// the old rules.
 const KEY_SCHEME: &str = "calloc model cache key scheme v1";
 
-/// FNV-1a fingerprint of the key scheme — the header identity every cache
-/// file must carry.
-fn scheme_fingerprint() -> u64 {
+/// FNV-1a fingerprint of a string: of [`KEY_SCHEME`] in the header (the
+/// identity every cache file must carry), of the full key in each record.
+fn fingerprint(s: &str) -> u64 {
     let mut fnv = Fnv::new();
-    fnv.str(KEY_SCHEME);
-    fnv.finish()
-}
-
-/// FNV-1a fingerprint of one full cache key.
-fn key_fingerprint(key: &str) -> u64 {
-    let mut fnv = Fnv::new();
-    fnv.str(key);
+    fnv.str(s);
     fnv.finish()
 }
 
@@ -125,18 +117,10 @@ impl ModelCache {
             hits: 0,
             misses: 0,
         };
-        sweep_stale_temps(path);
-        match fs::read(path) {
-            Ok(bytes) => {
-                cache.load(&bytes, path)?;
-                Ok(cache)
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(cache),
-            Err(source) => Err(StoreError::Io {
-                path: path.to_path_buf(),
-                source,
-            }),
+        if let Some(bytes) = read_existing(path)? {
+            cache.load(&bytes, path)?;
         }
+        Ok(cache)
     }
 
     /// The cache file path (`None` for an in-memory cache).
@@ -223,13 +207,13 @@ impl ModelCache {
     }
 
     /// Serializes the complete cache and atomically replaces the cache
-    /// file with it (see [`write_atomic`]). A no-op for in-memory caches.
+    /// file with it (see [`crate::write_atomic`]). A no-op for in-memory
+    /// caches.
     pub fn checkpoint(&self) -> Result<(), StoreError> {
-        let Some(path) = &self.path else {
-            return Ok(());
-        };
-        sweep_stale_temps(path);
-        write_atomic(path, &self.encode())
+        match &self.path {
+            Some(path) => checkpoint_file(path, &self.encode()),
+            None => Ok(()),
+        }
     }
 
     /// A cached model decoded through the per-member state codec, or
@@ -355,7 +339,7 @@ impl ModelCache {
             self.misses += 1;
             return Ok(None);
         };
-        let mut r = StateReader::new(&entry.bytes);
+        let mut r = Reader::new(&entry.bytes);
         let net = state::read_sequential(&mut r)
             .and_then(|net| r.finish().map(|()| net))
             .map_err(|detail| StoreError::Corrupt {
@@ -372,7 +356,7 @@ impl ModelCache {
     ///
     /// Fails with [`StoreError::DuplicateModel`] on a duplicate key.
     pub fn insert_surrogate(&mut self, key: &str, net: &Sequential) -> Result<(), StoreError> {
-        let mut w = StateWriter::new();
+        let mut w = Writer::new();
         state::write_sequential(&mut w, net);
         self.insert(key, "surrogate", w.into_bytes())
     }
@@ -388,21 +372,19 @@ impl ModelCache {
     /// deterministic and a checkpoint after identical inserts is
     /// byte-identical).
     fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(24 + self.entries.len() * 256);
-        out.extend_from_slice(MAGIC);
-        out.extend_from_slice(&VERSION.to_le_bytes());
-        out.extend_from_slice(&scheme_fingerprint().to_le_bytes());
+        let mut w = Writer::with_capacity(24 + self.entries.len() * 256);
+        w.bytes(MAGIC);
+        w.u32(VERSION);
+        w.u64(fingerprint(KEY_SCHEME));
         for (key, entry) in &self.entries {
-            let mut record = Vec::with_capacity(32 + key.len() + entry.bytes.len());
-            record.extend_from_slice(&key_fingerprint(key).to_le_bytes());
-            push_str(&mut record, key);
-            push_str(&mut record, &entry.name);
-            record.extend_from_slice(&(entry.bytes.len() as u32).to_le_bytes());
-            record.extend_from_slice(&entry.bytes);
-            out.extend_from_slice(&(record.len() as u32).to_le_bytes());
-            out.extend_from_slice(&record);
+            let mut record = Writer::with_capacity(32 + key.len() + entry.bytes.len());
+            record.u64(fingerprint(key));
+            record.str_u32(key);
+            record.str_u32(&entry.name);
+            record.bytes_u32(&entry.bytes);
+            w.bytes_u32(&record.into_bytes());
         }
-        out
+        w.into_bytes()
     }
 
     /// Decodes and validates a cache file image into `self.entries`.
@@ -411,51 +393,32 @@ impl ModelCache {
             path: path.to_path_buf(),
             detail,
         };
-        let mut r = Reader { bytes, pos: 0 };
-        let magic = r.take(8).map_err(&corrupt)?;
-        if magic != MAGIC {
-            return Err(corrupt(format!("bad magic {magic:?}")));
-        }
-        let version = r.u32().map_err(&corrupt)?;
-        if version != VERSION {
-            return Err(corrupt(format!(
-                "format version {version}, this build reads {VERSION}"
-            )));
-        }
+        let mut r = Reader::new(bytes);
+        check_header(&mut r, MAGIC, VERSION).map_err(&corrupt)?;
         let scheme = r.u64().map_err(&corrupt)?;
-        if scheme != scheme_fingerprint() {
+        if scheme != fingerprint(KEY_SCHEME) {
             return Err(StoreError::PlanMismatch {
                 path: Some(path.to_path_buf()),
                 detail: format!(
                     "cache keyed under scheme {scheme:#018x}, this build uses {:#018x} \
                      ({KEY_SCHEME:?})",
-                    scheme_fingerprint()
+                    fingerprint(KEY_SCHEME)
                 ),
             });
         }
-        while !r.done() {
-            let len = r.u32().map_err(&corrupt)?;
-            let record = r.take(len as usize).map_err(&corrupt)?;
-            let mut rec = Reader {
-                bytes: record,
-                pos: 0,
-            };
+        while r.remaining() > 0 {
+            let mut rec = Reader::new(r.bytes_u32().map_err(&corrupt)?);
             let fp = rec.u64().map_err(&corrupt)?;
-            let key = rec.string().map_err(&corrupt)?;
-            if fp != key_fingerprint(&key) {
+            let key = rec.str_u32().map_err(&corrupt)?;
+            if fp != fingerprint(&key) {
                 return Err(corrupt(format!(
                     "record fingerprint {fp:#018x} does not match its key {key:?}"
                 )));
             }
-            let name = rec.string().map_err(&corrupt)?;
-            let blen = rec.u32().map_err(&corrupt)?;
-            let model_bytes = rec.take(blen as usize).map_err(&corrupt)?.to_vec();
-            if !rec.done() {
-                return Err(corrupt(format!(
-                    "record for key {key:?} has {} trailing bytes",
-                    record.len() - rec.pos
-                )));
-            }
+            let name = rec.str_u32().map_err(&corrupt)?;
+            let model_bytes = rec.bytes_u32().map_err(&corrupt)?.to_vec();
+            rec.finish()
+                .map_err(|e| corrupt(format!("record for key {key:?} has {e}")))?;
             if self
                 .entries
                 .insert(
@@ -496,6 +459,7 @@ pub(crate) fn decode_member(name: &str, bytes: &[u8]) -> Result<Box<dyn Localize
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::fs;
 
     fn tmp_path(name: &str) -> PathBuf {
         std::env::temp_dir().join(format!("calloc_cache_{}_{name}.bin", std::process::id()))
@@ -593,11 +557,11 @@ mod tests {
     #[test]
     fn open_rejects_a_different_key_scheme() {
         let path = tmp_path("scheme");
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(MAGIC);
-        bytes.extend_from_slice(&VERSION.to_le_bytes());
-        bytes.extend_from_slice(&0xDEAD_BEEFu64.to_le_bytes());
-        fs::write(&path, &bytes).unwrap();
+        let mut w = Writer::new();
+        w.bytes(MAGIC);
+        w.u32(VERSION);
+        w.u64(0xDEAD_BEEF);
+        fs::write(&path, w.into_bytes()).unwrap();
         let err = ModelCache::open(&path).unwrap_err();
         assert!(matches!(err, StoreError::PlanMismatch { .. }), "{err}");
         let _ = fs::remove_file(&path);

@@ -5,74 +5,16 @@
 //! The sweep engine's failure semantics (see [`crate::sweep`]) are
 //! configured by an [`ExecSpec`] and reported through a [`RunReport`].
 //! Fault injection is **explicit and deterministic**: a [`FaultPlan`]
-//! names exactly which plan indices panic on which attempts — never
+//! (shared with the serving engine, in [`calloc_tensor::par`]) names
+//! exactly which plan indices panic on which attempts — never
 //! ambient randomness — so the quarantine/retry/resume machinery is
 //! itself testable under the bit-identical determinism contract.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
+use calloc_tensor::par::FaultPlan;
+
 use crate::report::ResultTable;
-
-/// A deterministic fault-injection schedule: "panic on plan indices
-/// {i…}, on the first *k* attempts". Threaded into a run via
-/// [`ExecSpec::faults`], never via ambient randomness — the same plan
-/// injects the same panics on every run, at every thread count.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct FaultPlan {
-    /// plan index → number of leading attempts that panic.
-    panics: BTreeMap<usize, usize>,
-}
-
-impl FaultPlan {
-    /// An empty plan: no injected faults (the production default).
-    pub fn none() -> Self {
-        FaultPlan::default()
-    }
-
-    /// Whether the plan injects no faults at all.
-    pub fn is_empty(&self) -> bool {
-        self.panics.is_empty()
-    }
-
-    /// Builder: the cell at `plan_index` panics on its first
-    /// `failing_attempts` attempts (attempt numbers `0..failing_attempts`)
-    /// and succeeds from then on. With `failing_attempts` larger than the
-    /// retry budget the cell is permanently poisoned and ends up
-    /// quarantined as a [`CellError`].
-    pub fn panicking(mut self, plan_index: usize, failing_attempts: usize) -> Self {
-        if failing_attempts > 0 {
-            self.panics.insert(plan_index, failing_attempts);
-        }
-        self
-    }
-
-    /// Bulk constructor: every listed plan index panics on its first
-    /// `failing_attempts` attempts.
-    pub fn panic_on(plan_indices: &[usize], failing_attempts: usize) -> Self {
-        let mut plan = FaultPlan::none();
-        for &i in plan_indices {
-            plan = plan.panicking(i, failing_attempts);
-        }
-        plan
-    }
-
-    /// Whether the schedule calls for a panic at this cell and attempt.
-    pub fn should_panic(&self, plan_index: usize, attempt: usize) -> bool {
-        self.panics
-            .get(&plan_index)
-            .is_some_and(|&failing| attempt < failing)
-    }
-
-    /// Panics with a recognizable `injected fault` payload if the
-    /// schedule calls for it; the sweep engine invokes this at the top
-    /// of every cell attempt.
-    pub fn maybe_panic(&self, plan_index: usize, attempt: usize) {
-        if self.should_panic(plan_index, attempt) {
-            panic!("injected fault: plan index {plan_index}, attempt {attempt}");
-        }
-    }
-}
 
 /// Execution policy for a fault-tolerant sweep run. The default is
 /// maximally boring — no retries, no injected faults, checkpoint every
@@ -94,7 +36,9 @@ pub struct ExecSpec {
     /// See [`checkpoint_due`] for the decision rule. Irrelevant for
     /// in-memory stores.
     pub checkpoint_every: usize,
-    /// Deterministic fault-injection schedule (empty in production).
+    /// Deterministic fault-injection schedule keyed by plan index (empty
+    /// in production). A cell whose failing attempts exceed the retry
+    /// budget is quarantined as a [`CellError`].
     pub faults: FaultPlan,
 }
 
@@ -254,7 +198,7 @@ mod tests {
         let plan = FaultPlan::none().panicking(7, 1);
         let err = calloc_tensor::par::caught(|| plan.maybe_panic(7, 0)).unwrap_err();
         assert!(err.message().contains("injected fault"), "{err}");
-        assert!(err.message().contains("plan index 7"), "{err}");
+        assert!(err.message().contains("id 7, attempt 0"), "{err}");
         calloc_tensor::par::caught(|| plan.maybe_panic(7, 1)).expect("past the schedule");
     }
 
@@ -292,7 +236,7 @@ mod tests {
             errors: vec![CellError {
                 plan_index: 9,
                 attempts: 2,
-                payload: "injected fault: plan index 9, attempt 1".into(),
+                payload: "injected fault: id 9, attempt 1".into(),
             }],
             executed: 4,
             recovered: 1,

@@ -42,7 +42,7 @@ mod suite;
 pub mod sweep;
 
 pub use cache::ModelCache;
-pub use fault::{checkpoint_due, CellError, ExecSpec, FaultPlan, RunReport};
+pub use fault::{checkpoint_due, CellError, ExecSpec, RunReport};
 pub use metrics::{
     attacked_inputs, evaluate, evaluate_mitm, transfer_batch, AttackedInputs, Evaluation,
 };

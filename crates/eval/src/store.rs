@@ -37,6 +37,8 @@ use std::fmt;
 use std::fs;
 use std::path::{Path, PathBuf};
 
+use calloc_tensor::codec::{Reader, Writer};
+
 use crate::report::ResultRow;
 
 /// Magic bytes leading every store file.
@@ -45,7 +47,8 @@ const MAGIC: &[u8; 8] = b"CALLOCRS";
 const VERSION: u32 = 1;
 
 /// Typed I/O and integrity errors of the result-store layer (also used by
-/// the crash-safe writers in [`crate::report`] and the bench binaries).
+/// the crash-safe writers such as [`crate::ResultTable::write_csv`] and
+/// the bench binaries).
 /// Every file-system variant carries the offending path, so a failure
 /// three hours into a sweep names the file, not just the errno.
 #[derive(Debug)]
@@ -154,6 +157,28 @@ fn sibling_tmp(path: &Path) -> PathBuf {
     path.with_file_name(name)
 }
 
+/// Sweeps stale temps beside `path` (see [`sweep_stale_temps`]), then
+/// reads the file; `None` when it does not exist yet. The shared first
+/// step of [`ResultStore::open`] and [`crate::ModelCache::open`].
+pub(crate) fn read_existing(path: &Path) -> Result<Option<Vec<u8>>, StoreError> {
+    sweep_stale_temps(path);
+    match fs::read(path) {
+        Ok(bytes) => Ok(Some(bytes)),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
+        Err(source) => Err(StoreError::Io {
+            path: path.to_path_buf(),
+            source,
+        }),
+    }
+}
+
+/// Sweeps stale temps beside `path`, then [`write_atomic`]s `bytes` over
+/// it: one checkpoint of a store or cache file.
+pub(crate) fn checkpoint_file(path: &Path, bytes: &[u8]) -> Result<(), StoreError> {
+    sweep_stale_temps(path);
+    write_atomic(path, bytes)
+}
+
 /// Removes leftover `write_atomic` temp files for `path`: siblings named
 /// `<filename>.<pid>.tmp` whose pid is not ours. A process killed between
 /// temp creation and rename leaves its temp behind forever (the rename
@@ -163,7 +188,7 @@ fn sibling_tmp(path: &Path) -> PathBuf {
 /// a time (shards write disjoint files), so those temps are necessarily
 /// stale. Best-effort: removal errors are ignored (the sweep must never
 /// fail an open), and the count of removed files is returned for tests.
-pub(crate) fn sweep_stale_temps(path: &Path) -> usize {
+fn sweep_stale_temps(path: &Path) -> usize {
     let Some(file_name) = path.file_name().and_then(|n| n.to_str()) else {
         return 0;
     };
@@ -224,8 +249,8 @@ impl ResultStore {
     /// [`StoreError::PlanMismatch`]; an undecodable file is
     /// [`StoreError::Corrupt`]. A missing file yields an empty store
     /// (created on the first [`checkpoint`](Self::checkpoint)). Stale
-    /// `*.tmp.<pid>` siblings left by a previously killed writer are
-    /// swept away (see [`sweep_stale_temps`]).
+    /// `<file>.<pid>.tmp` siblings left by a previously killed writer of
+    /// another pid are swept away.
     pub fn open(path: &Path, plan_cells: usize, fingerprint: u64) -> Result<Self, StoreError> {
         let mut store = ResultStore {
             path: Some(path.to_path_buf()),
@@ -233,18 +258,10 @@ impl ResultStore {
             fingerprint,
             rows: BTreeMap::new(),
         };
-        sweep_stale_temps(path);
-        match fs::read(path) {
-            Ok(bytes) => {
-                store.load(&bytes, path)?;
-                Ok(store)
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(store),
-            Err(source) => Err(StoreError::Io {
-                path: path.to_path_buf(),
-                source,
-            }),
+        if let Some(bytes) = read_existing(path)? {
+            store.load(&bytes, path)?;
         }
+        Ok(store)
     }
 
     /// The store file path (`None` for an in-memory store).
@@ -347,26 +364,23 @@ impl ResultStore {
     /// [`crate::fault::ExecSpec::checkpoint_every`] finished cells and
     /// once at the end of a run.
     pub fn checkpoint(&self) -> Result<(), StoreError> {
-        let Some(path) = &self.path else {
-            return Ok(());
-        };
-        sweep_stale_temps(path);
-        write_atomic(path, &self.encode())
+        match &self.path {
+            Some(path) => checkpoint_file(path, &self.encode()),
+            None => Ok(()),
+        }
     }
 
     /// Encodes header + records (ascending plan index).
     fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(24 + self.rows.len() * 96);
-        out.extend_from_slice(MAGIC);
-        out.extend_from_slice(&VERSION.to_le_bytes());
-        out.extend_from_slice(&(self.plan_cells as u64).to_le_bytes());
-        out.extend_from_slice(&self.fingerprint.to_le_bytes());
+        let mut w = Writer::with_capacity(24 + self.rows.len() * 96);
+        w.bytes(MAGIC);
+        w.u32(VERSION);
+        w.usize(self.plan_cells);
+        w.u64(self.fingerprint);
         for row in self.rows.values() {
-            let record = encode_row(row);
-            out.extend_from_slice(&(record.len() as u32).to_le_bytes());
-            out.extend_from_slice(&record);
+            w.bytes_u32(&encode_row(row));
         }
-        out
+        w.into_bytes()
     }
 
     /// Decodes and validates a store file image into `self.rows`.
@@ -375,17 +389,8 @@ impl ResultStore {
             path: path.to_path_buf(),
             detail,
         };
-        let mut r = Reader { bytes, pos: 0 };
-        let magic = r.take(8).map_err(&corrupt)?;
-        if magic != MAGIC {
-            return Err(corrupt(format!("bad magic {magic:?}")));
-        }
-        let version = r.u32().map_err(&corrupt)?;
-        if version != VERSION {
-            return Err(corrupt(format!(
-                "format version {version}, this build reads {VERSION}"
-            )));
-        }
+        let mut r = Reader::new(bytes);
+        check_header(&mut r, MAGIC, VERSION).map_err(&corrupt)?;
         let plan_cells = r.usize().map_err(&corrupt)?;
         let fingerprint = r.u64().map_err(&corrupt)?;
         if plan_cells != self.plan_cells || fingerprint != self.fingerprint {
@@ -398,9 +403,8 @@ impl ResultStore {
                 ),
             });
         }
-        while !r.done() {
-            let len = r.u32().map_err(&corrupt)?;
-            let record = r.take(len as usize).map_err(&corrupt)?;
+        while r.remaining() > 0 {
+            let record = r.bytes_u32().map_err(&corrupt)?;
             let row = decode_row(record).map_err(&corrupt)?;
             if row.plan_index >= self.plan_cells {
                 return Err(corrupt(format!(
@@ -416,117 +420,56 @@ impl ResultStore {
     }
 }
 
-/// Bounded little-endian reader over a byte slice; every failure carries
-/// a human-readable detail for [`StoreError::Corrupt`]. Shared with the
-/// model cache in [`crate::cache`], which follows the same format
-/// discipline.
-pub(crate) struct Reader<'a> {
-    pub(crate) bytes: &'a [u8],
-    pub(crate) pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    pub(crate) fn done(&self) -> bool {
-        self.pos >= self.bytes.len()
+/// Reads and checks the magic + format-version header that opens both
+/// the store file and the model-cache file ([`crate::cache`]).
+pub(crate) fn check_header(r: &mut Reader, magic: &[u8; 8], version: u32) -> Result<(), String> {
+    let got = r.bytes(8)?;
+    if got != magic {
+        return Err(format!("bad magic {got:?}"));
     }
-
-    pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-        let end = self.pos.checked_add(n).filter(|&e| e <= self.bytes.len());
-        let Some(end) = end else {
-            return Err(format!(
-                "truncated: wanted {n} bytes at offset {}, file has {}",
-                self.pos,
-                self.bytes.len()
-            ));
-        };
-        let out = &self.bytes[self.pos..end];
-        self.pos = end;
-        Ok(out)
+    let got = r.u32()?;
+    if got != version {
+        return Err(format!("format version {got}, this build reads {version}"));
     }
-
-    pub(crate) fn u32(&mut self) -> Result<u32, String> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes(b.try_into().expect("4 bytes")))
-    }
-
-    pub(crate) fn u64(&mut self) -> Result<u64, String> {
-        let b = self.take(8)?;
-        Ok(u64::from_le_bytes(b.try_into().expect("8 bytes")))
-    }
-
-    /// A u64 length/index converted to usize with an overflow check — on
-    /// 32-bit targets an oversized value is corruption, not a wrap.
-    pub(crate) fn usize(&mut self) -> Result<usize, String> {
-        let v = self.u64()?;
-        usize::try_from(v).map_err(|_| format!("value {v} overflows usize on this target"))
-    }
-
-    fn f64(&mut self) -> Result<f64, String> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    pub(crate) fn string(&mut self) -> Result<String, String> {
-        let len = self.u32()?;
-        let len = usize::try_from(len)
-            .map_err(|_| format!("string length {len} overflows usize on this target"))?;
-        let b = self.take(len)?;
-        String::from_utf8(b.to_vec()).map_err(|e| format!("invalid UTF-8 in string field: {e}"))
-    }
-}
-
-pub(crate) fn push_str(out: &mut Vec<u8>, s: &str) {
-    out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-    out.extend_from_slice(s.as_bytes());
-}
-
-fn push_f64(out: &mut Vec<u8>, v: f64) {
-    out.extend_from_slice(&v.to_bits().to_le_bytes());
+    Ok(())
 }
 
 /// Encodes one row in field order. Floats are raw bit patterns, so the
 /// round trip is exact — a resumed sweep's CSV is byte-identical.
 fn encode_row(row: &ResultRow) -> Vec<u8> {
-    let mut out = Vec::with_capacity(96);
-    out.extend_from_slice(&(row.plan_index as u64).to_le_bytes());
-    push_str(&mut out, &row.framework);
-    push_str(&mut out, &row.building);
-    push_str(&mut out, &row.device);
-    push_f64(&mut out, row.env_multiplier);
-    push_str(&mut out, &row.attack);
-    push_str(&mut out, &row.variant);
-    push_str(&mut out, &row.targeting);
-    push_f64(&mut out, row.epsilon);
-    push_f64(&mut out, row.phi);
-    push_f64(&mut out, row.mean_error_m);
-    push_f64(&mut out, row.max_error_m);
-    out
+    let mut w = Writer::with_capacity(96);
+    w.usize(row.plan_index);
+    w.str_u32(&row.framework);
+    w.str_u32(&row.building);
+    w.str_u32(&row.device);
+    w.f64(row.env_multiplier);
+    w.str_u32(&row.attack);
+    w.str_u32(&row.variant);
+    w.str_u32(&row.targeting);
+    w.f64(row.epsilon);
+    w.f64(row.phi);
+    w.f64(row.mean_error_m);
+    w.f64(row.max_error_m);
+    w.into_bytes()
 }
 
 fn decode_row(record: &[u8]) -> Result<ResultRow, String> {
-    let mut r = Reader {
-        bytes: record,
-        pos: 0,
-    };
+    let mut r = Reader::new(record);
     let row = ResultRow {
         plan_index: r.usize()?,
-        framework: r.string()?,
-        building: r.string()?,
-        device: r.string()?,
+        framework: r.str_u32()?,
+        building: r.str_u32()?,
+        device: r.str_u32()?,
         env_multiplier: r.f64()?,
-        attack: r.string()?,
-        variant: r.string()?,
-        targeting: r.string()?,
+        attack: r.str_u32()?,
+        variant: r.str_u32()?,
+        targeting: r.str_u32()?,
         epsilon: r.f64()?,
         phi: r.f64()?,
         mean_error_m: r.f64()?,
         max_error_m: r.f64()?,
     };
-    if !r.done() {
-        return Err(format!(
-            "record has {} trailing bytes",
-            record.len() - r.pos
-        ));
-    }
+    r.finish().map_err(|e| format!("record has {e}"))?;
     Ok(row)
 }
 
@@ -763,12 +706,12 @@ mod tests {
         // surface as a typed error (PlanMismatch after a checked decode,
         // Corrupt on 32-bit) — never wrap through `as usize`.
         let path = tmp_path("oversized");
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(MAGIC);
-        bytes.extend_from_slice(&VERSION.to_le_bytes());
-        bytes.extend_from_slice(&u64::MAX.to_le_bytes());
-        bytes.extend_from_slice(&7u64.to_le_bytes());
-        fs::write(&path, &bytes).unwrap();
+        let mut w = Writer::new();
+        w.bytes(MAGIC);
+        w.u32(VERSION);
+        w.u64(u64::MAX);
+        w.u64(7);
+        fs::write(&path, w.into_bytes()).unwrap();
         let err = ResultStore::open(&path, 4, 7).unwrap_err();
         assert!(
             matches!(

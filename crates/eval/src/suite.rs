@@ -722,7 +722,7 @@ mod tests {
             assert_eq!(cs, f.model.state().unwrap(), "{} cached != fresh", c.name);
         }
         let surr = |s: &Suite| {
-            let mut w = calloc_nn::state::StateWriter::new();
+            let mut w = calloc_tensor::codec::Writer::new();
             calloc_nn::state::write_sequential(&mut w, &s.surrogate);
             w.into_bytes()
         };

@@ -111,7 +111,7 @@
 //! last-wins), or retried past injected faults produces a **byte
 //! identical CSV** to a clean one-shot run at every `CALLOC_THREADS`.
 //! `tests/fault_tolerance.rs` pins each of those paths against the
-//! golden CSV, with faults injected via [`crate::fault::FaultPlan`].
+//! golden CSV, with faults injected via [`calloc_tensor::par::FaultPlan`].
 
 use std::collections::BTreeMap;
 use std::ops::Range;
@@ -121,6 +121,7 @@ use std::sync::Mutex;
 use calloc_attack::{AttackConfig, AttackKind, MitmAttack, MitmVariant, Targeting};
 use calloc_nn::{DifferentiableModel, Localizer};
 use calloc_sim::{Dataset, Scenario};
+use calloc_tensor::codec::Fnv;
 use calloc_tensor::par::{self, CaughtPanic};
 use calloc_tensor::Matrix;
 
@@ -962,42 +963,6 @@ impl<'a> StoreSink<'a> {
     }
 }
 
-/// Minimal FNV-1a accumulator for [`SweepPlan::fingerprint`] and the
-/// model-cache keys of [`crate::cache`]. Every field is written length-
-/// or tag-prefixed by the caller, so distinct field sequences cannot
-/// collide by concatenation.
-pub(crate) struct Fnv {
-    hash: u64,
-}
-
-impl Fnv {
-    pub(crate) fn new() -> Self {
-        Fnv {
-            hash: 0xcbf2_9ce4_8422_2325,
-        }
-    }
-
-    pub(crate) fn bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.hash ^= u64::from(b);
-            self.hash = self.hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    pub(crate) fn u64(&mut self, v: u64) {
-        self.bytes(&v.to_le_bytes());
-    }
-
-    pub(crate) fn str(&mut self, s: &str) {
-        self.u64(s.len() as u64);
-        self.bytes(s.as_bytes());
-    }
-
-    pub(crate) fn finish(&self) -> u64 {
-        self.hash
-    }
-}
-
 /// Plans and runs a sweep in one call: `members` are `(name, model)`
 /// pairs, `datasets` are `(building, device, fingerprints)` triples.
 ///
@@ -1391,7 +1356,7 @@ mod tests {
         let plain = plan.run(&models, Some(&soft), &data);
         let exec = ExecSpec::default()
             .with_retries(2)
-            .with_faults(crate::fault::FaultPlan::panic_on(&[0, 3], 2));
+            .with_faults(par::FaultPlan::panic_on(&[0, 3], 2));
         let report = plan.run_fault_tolerant(&models, Some(&soft), &data, &exec);
         assert!(report.is_complete(), "{}", report.summary());
         assert_eq!(
@@ -1414,7 +1379,7 @@ mod tests {
         let models: Vec<&dyn Localizer> = vec![&knn];
         let exec = ExecSpec::default()
             .with_retries(1)
-            .with_faults(crate::fault::FaultPlan::none().panicking(1, 5));
+            .with_faults(par::FaultPlan::none().panicking(1, 5));
         let report = plan.run_fault_tolerant(&models, Some(&soft), &data, &exec);
         assert!(!report.is_complete());
         assert_eq!(report.errors.len(), 1);
@@ -1702,7 +1667,7 @@ mod tests {
             &data,
             &ExecSpec::default()
                 .with_retries(1)
-                .with_faults(crate::fault::FaultPlan::none().panicking(victim, 1)),
+                .with_faults(par::FaultPlan::none().panicking(victim, 1)),
         );
         assert!(retried.is_complete(), "{}", retried.summary());
         assert_eq!(retried.recovered, 1);
@@ -1714,7 +1679,7 @@ mod tests {
             &data,
             &ExecSpec::default()
                 .with_retries(1)
-                .with_faults(crate::fault::FaultPlan::none().panicking(victim, 5)),
+                .with_faults(par::FaultPlan::none().panicking(victim, 5)),
         );
         assert_eq!(quarantined.errors.len(), 1);
         assert_eq!(quarantined.errors[0].plan_index, victim);

@@ -3,263 +3,22 @@
 //! The trained-model cache (`calloc_eval::cache`) persists every suite
 //! member to disk and must restore it **bit-identically** — a cache hit
 //! has to be indistinguishable from a fresh train under the determinism
-//! contract. These helpers give each model crate a tiny, dependency-free
-//! codec with the same discipline as the result store: all `f64`
-//! parameters travel as raw IEEE-754 bits (so `-0.0`, subnormals and NaN
-//! payloads survive), all lengths are u64 on the wire and checked on
-//! decode, and any malformed input surfaces as an error string — never a
-//! panic, never a partial model.
+//! contract. Model state is written with the workspace's one binary codec,
+//! [`calloc_tensor::codec`]: all `f64` parameters travel as raw IEEE-754
+//! bits (so `-0.0`, subnormals and NaN payloads survive), all lengths are
+//! u64 on the wire and checked on decode, and any malformed input surfaces
+//! as an error string — never a panic, never a partial model.
 //!
 //! Model structs own their field layout, so each crate implements its own
-//! `state_bytes` / `from_state` pair on top of [`StateWriter`] /
-//! [`StateReader`]; this module only ships the primitives plus codecs for
-//! the types owned by `calloc_nn` itself ([`Sequential`], [`Layer`],
-//! [`Dense`], [`TrainReport`]).
+//! `state_bytes` / `from_state` pair on top of [`Writer`] / [`Reader`];
+//! this module only ships the codecs for the types owned by `calloc_nn`
+//! itself ([`Sequential`], [`Layer`], [`Dense`], [`TrainReport`]).
 
-use calloc_tensor::Matrix;
+use calloc_tensor::codec::{Reader, Writer};
 
 use crate::layer::{Dense, Layer};
 use crate::model::Sequential;
 use crate::train::TrainReport;
-
-/// Decode failure: a human-readable description of what was malformed.
-/// Callers wrap this in their own typed error (the cache maps it to
-/// `StoreError::Corrupt`).
-pub type StateError = String;
-
-/// Append-only encoder for model state. Scalars are little-endian;
-/// `f64` values are written as raw bits.
-#[derive(Debug, Default)]
-pub struct StateWriter {
-    buf: Vec<u8>,
-}
-
-impl StateWriter {
-    /// An empty writer.
-    pub fn new() -> Self {
-        StateWriter::default()
-    }
-
-    /// Consumes the writer, returning the encoded bytes.
-    pub fn into_bytes(self) -> Vec<u8> {
-        self.buf
-    }
-
-    /// Writes one byte.
-    pub fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    /// Writes a little-endian u32.
-    pub fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Writes a little-endian u64.
-    pub fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Writes a usize as a u64 (usize never exceeds u64 on supported
-    /// targets).
-    pub fn usize(&mut self, v: usize) {
-        self.u64(v as u64);
-    }
-
-    /// Writes a bool as one byte (0 or 1).
-    pub fn bool(&mut self, v: bool) {
-        self.u8(u8::from(v));
-    }
-
-    /// Writes an f64 as its raw bit pattern — bit-exact for every value
-    /// including `-0.0`, subnormals and NaN payloads.
-    pub fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
-
-    /// Writes a length-prefixed UTF-8 string.
-    pub fn string(&mut self, s: &str) {
-        self.u64(s.len() as u64);
-        self.buf.extend_from_slice(s.as_bytes());
-    }
-
-    /// Writes a matrix as `rows, cols` then row-major raw f64 bits.
-    pub fn matrix(&mut self, m: &Matrix) {
-        self.usize(m.rows());
-        self.usize(m.cols());
-        for &v in m.as_slice() {
-            self.f64(v);
-        }
-    }
-
-    /// Writes a length-prefixed slice of raw f64 bits.
-    pub fn f64_slice(&mut self, vs: &[f64]) {
-        self.u64(vs.len() as u64);
-        for &v in vs {
-            self.f64(v);
-        }
-    }
-
-    /// Writes a length-prefixed slice of usizes (as u64s).
-    pub fn usize_slice(&mut self, vs: &[usize]) {
-        self.u64(vs.len() as u64);
-        for &v in vs {
-            self.usize(v);
-        }
-    }
-}
-
-/// Bounded decoder over an encoded byte slice. Every read checks the
-/// remaining length; every length field is validated before allocation,
-/// so truncated or corrupt input yields `Err`, never a panic.
-#[derive(Debug)]
-pub struct StateReader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> StateReader<'a> {
-    /// A reader positioned at the start of `bytes`.
-    pub fn new(bytes: &'a [u8]) -> Self {
-        StateReader { bytes, pos: 0 }
-    }
-
-    /// Number of bytes not yet consumed.
-    pub fn remaining(&self) -> usize {
-        self.bytes.len() - self.pos
-    }
-
-    /// Errors unless every byte has been consumed — trailing garbage is
-    /// corruption, not padding.
-    pub fn finish(self) -> Result<(), StateError> {
-        if self.pos == self.bytes.len() {
-            Ok(())
-        } else {
-            Err(format!(
-                "{} trailing bytes after model state",
-                self.bytes.len() - self.pos
-            ))
-        }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], StateError> {
-        if self.remaining() < n {
-            return Err(format!(
-                "state truncated: wanted {n} bytes, {} remain",
-                self.remaining()
-            ));
-        }
-        let slice = &self.bytes[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(slice)
-    }
-
-    /// Reads one byte.
-    pub fn u8(&mut self) -> Result<u8, StateError> {
-        Ok(self.take(1)?[0])
-    }
-
-    /// Reads a little-endian u32.
-    pub fn u32(&mut self) -> Result<u32, StateError> {
-        Ok(u32::from_le_bytes(
-            self.take(4)?.try_into().expect("4 bytes"),
-        ))
-    }
-
-    /// Reads a little-endian u64.
-    pub fn u64(&mut self) -> Result<u64, StateError> {
-        Ok(u64::from_le_bytes(
-            self.take(8)?.try_into().expect("8 bytes"),
-        ))
-    }
-
-    /// Reads a u64 and converts it to usize with an overflow check (on
-    /// 32-bit targets an oversized value errors instead of wrapping).
-    pub fn usize(&mut self) -> Result<usize, StateError> {
-        let v = self.u64()?;
-        usize::try_from(v).map_err(|_| format!("length {v} overflows usize on this target"))
-    }
-
-    /// Reads a bool byte, rejecting values other than 0 and 1.
-    pub fn bool(&mut self) -> Result<bool, StateError> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            b => Err(format!("invalid bool byte {b}")),
-        }
-    }
-
-    /// Reads an f64 from its raw bit pattern.
-    pub fn f64(&mut self) -> Result<f64, StateError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    /// Reads a length-prefixed UTF-8 string.
-    pub fn string(&mut self) -> Result<String, StateError> {
-        let len = self.usize()?;
-        if len > self.remaining() {
-            return Err(format!(
-                "string length {len} exceeds {} remaining bytes",
-                self.remaining()
-            ));
-        }
-        String::from_utf8(self.take(len)?.to_vec()).map_err(|e| format!("invalid UTF-8: {e}"))
-    }
-
-    /// Reads a matrix written by [`StateWriter::matrix`].
-    pub fn matrix(&mut self) -> Result<Matrix, StateError> {
-        let rows = self.usize()?;
-        let cols = self.usize()?;
-        let cells = rows
-            .checked_mul(cols)
-            .ok_or_else(|| format!("matrix shape {rows}x{cols} overflows"))?;
-        if cells.checked_mul(8).is_none_or(|b| b > self.remaining()) {
-            return Err(format!(
-                "matrix shape {rows}x{cols} exceeds {} remaining bytes",
-                self.remaining()
-            ));
-        }
-        let mut data = Vec::with_capacity(cells);
-        for _ in 0..cells {
-            data.push(self.f64()?);
-        }
-        Ok(Matrix::from_vec(rows, cols, data))
-    }
-
-    /// Reads a length-prefixed usize vector written by
-    /// [`StateWriter::usize_slice`].
-    pub fn usize_vec(&mut self) -> Result<Vec<usize>, StateError> {
-        let len = self.usize()?;
-        if len.checked_mul(8).is_none_or(|b| b > self.remaining()) {
-            return Err(format!(
-                "usize vec length {len} exceeds {} remaining bytes",
-                self.remaining()
-            ));
-        }
-        let mut vs = Vec::with_capacity(len);
-        for _ in 0..len {
-            vs.push(self.usize()?);
-        }
-        Ok(vs)
-    }
-
-    /// Reads a length-prefixed f64 vector written by
-    /// [`StateWriter::f64_slice`].
-    pub fn f64_vec(&mut self) -> Result<Vec<f64>, StateError> {
-        let len = self.usize()?;
-        if len.checked_mul(8).is_none_or(|b| b > self.remaining()) {
-            return Err(format!(
-                "f64 vec length {len} exceeds {} remaining bytes",
-                self.remaining()
-            ));
-        }
-        let mut vs = Vec::with_capacity(len);
-        for _ in 0..len {
-            vs.push(self.f64()?);
-        }
-        Ok(vs)
-    }
-}
 
 // Layer tag bytes. The layer set is closed (enum in layer.rs); adding a
 // variant means adding a tag here and bumping the cache format version.
@@ -271,13 +30,13 @@ const TAG_DROPOUT: u8 = 4;
 const TAG_GAUSSIAN_NOISE: u8 = 5;
 
 /// Encodes a [`Dense`] layer (weights then bias).
-pub fn write_dense(w: &mut StateWriter, d: &Dense) {
+pub fn write_dense(w: &mut Writer, d: &Dense) {
     w.matrix(&d.w);
     w.matrix(&d.b);
 }
 
 /// Decodes a [`Dense`] layer written by [`write_dense`].
-pub fn read_dense(r: &mut StateReader) -> Result<Dense, StateError> {
+pub fn read_dense(r: &mut Reader) -> Result<Dense, String> {
     let w = r.matrix()?;
     let b = r.matrix()?;
     if b.rows() != 1 || b.cols() != w.cols() {
@@ -291,7 +50,7 @@ pub fn read_dense(r: &mut StateReader) -> Result<Dense, StateError> {
 }
 
 /// Encodes one [`Layer`] as a tag byte plus its parameters.
-pub fn write_layer(w: &mut StateWriter, layer: &Layer) {
+pub fn write_layer(w: &mut Writer, layer: &Layer) {
     match layer {
         Layer::Dense(d) => {
             w.u8(TAG_DENSE);
@@ -312,7 +71,7 @@ pub fn write_layer(w: &mut StateWriter, layer: &Layer) {
 }
 
 /// Decodes one [`Layer`] written by [`write_layer`].
-pub fn read_layer(r: &mut StateReader) -> Result<Layer, StateError> {
+pub fn read_layer(r: &mut Reader) -> Result<Layer, String> {
     match r.u8()? {
         TAG_DENSE => Ok(Layer::Dense(read_dense(r)?)),
         TAG_RELU => Ok(Layer::Relu),
@@ -325,7 +84,7 @@ pub fn read_layer(r: &mut StateReader) -> Result<Layer, StateError> {
 }
 
 /// Encodes a [`Sequential`] network (layer count then each layer).
-pub fn write_sequential(w: &mut StateWriter, net: &Sequential) {
+pub fn write_sequential(w: &mut Writer, net: &Sequential) {
     w.usize(net.layers().len());
     for layer in net.layers() {
         write_layer(w, layer);
@@ -333,7 +92,7 @@ pub fn write_sequential(w: &mut StateWriter, net: &Sequential) {
 }
 
 /// Decodes a [`Sequential`] written by [`write_sequential`].
-pub fn read_sequential(r: &mut StateReader) -> Result<Sequential, StateError> {
+pub fn read_sequential(r: &mut Reader) -> Result<Sequential, String> {
     let n = r.usize()?;
     // Each layer costs at least one tag byte, so a length beyond the
     // remaining bytes is corrupt — checked before the allocation.
@@ -351,7 +110,7 @@ pub fn read_sequential(r: &mut StateReader) -> Result<Sequential, StateError> {
 }
 
 /// Encodes a [`TrainReport`] (loss history plus early-stop summary).
-pub fn write_train_report(w: &mut StateWriter, report: &TrainReport) {
+pub fn write_train_report(w: &mut Writer, report: &TrainReport) {
     w.f64_slice(&report.loss_history);
     w.f64(report.best_loss);
     w.usize(report.best_epoch);
@@ -359,7 +118,7 @@ pub fn write_train_report(w: &mut StateWriter, report: &TrainReport) {
 }
 
 /// Decodes a [`TrainReport`] written by [`write_train_report`].
-pub fn read_train_report(r: &mut StateReader) -> Result<TrainReport, StateError> {
+pub fn read_train_report(r: &mut Reader) -> Result<TrainReport, String> {
     Ok(TrainReport {
         loss_history: r.f64_vec()?,
         best_loss: r.f64()?,
@@ -371,7 +130,7 @@ pub fn read_train_report(r: &mut StateReader) -> Result<TrainReport, StateError>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use calloc_tensor::Rng;
+    use calloc_tensor::{Matrix, Rng};
 
     fn tricky_values() -> Vec<f64> {
         vec![
@@ -388,34 +147,34 @@ mod tests {
 
     #[test]
     fn scalars_round_trip() {
-        let mut w = StateWriter::new();
+        let mut w = Writer::new();
         w.u8(7);
         w.u32(0xdead_beef);
         w.u64(u64::MAX);
         w.usize(42);
         w.bool(true);
         w.bool(false);
-        w.string("héllo");
+        w.str_u64("héllo");
         let bytes = w.into_bytes();
-        let mut r = StateReader::new(&bytes);
+        let mut r = Reader::new(&bytes);
         assert_eq!(r.u8().unwrap(), 7);
         assert_eq!(r.u32().unwrap(), 0xdead_beef);
         assert_eq!(r.u64().unwrap(), u64::MAX);
         assert_eq!(r.usize().unwrap(), 42);
         assert!(r.bool().unwrap());
         assert!(!r.bool().unwrap());
-        assert_eq!(r.string().unwrap(), "héllo");
+        assert_eq!(r.str_u64().unwrap(), "héllo");
         r.finish().unwrap();
     }
 
     #[test]
     fn f64_bits_round_trip_exactly() {
-        let mut w = StateWriter::new();
+        let mut w = Writer::new();
         for &v in &tricky_values() {
             w.f64(v);
         }
         let bytes = w.into_bytes();
-        let mut r = StateReader::new(&bytes);
+        let mut r = Reader::new(&bytes);
         for &v in &tricky_values() {
             assert_eq!(r.f64().unwrap().to_bits(), v.to_bits());
         }
@@ -425,10 +184,10 @@ mod tests {
     fn matrix_round_trips_tricky_values() {
         let vals = tricky_values();
         let m = Matrix::from_fn(2, 4, |r, c| vals[r * 4 + c]);
-        let mut w = StateWriter::new();
+        let mut w = Writer::new();
         w.matrix(&m);
         let bytes = w.into_bytes();
-        let got = StateReader::new(&bytes).matrix().unwrap();
+        let got = Reader::new(&bytes).matrix().unwrap();
         assert_eq!(got.shape(), (2, 4));
         for (a, b) in got.as_slice().iter().zip(m.as_slice()) {
             assert_eq!(a.to_bits(), b.to_bits());
@@ -447,10 +206,10 @@ mod tests {
             Layer::Sigmoid,
             Layer::Tanh,
         ]);
-        let mut w = StateWriter::new();
+        let mut w = Writer::new();
         write_sequential(&mut w, &net);
         let bytes = w.into_bytes();
-        let mut r = StateReader::new(&bytes);
+        let mut r = Reader::new(&bytes);
         let got = read_sequential(&mut r).unwrap();
         r.finish().unwrap();
         assert_eq!(got, net);
@@ -464,10 +223,10 @@ mod tests {
             best_epoch: 3,
             stopped_early: true,
         };
-        let mut w = StateWriter::new();
+        let mut w = Writer::new();
         write_train_report(&mut w, &report);
         let bytes = w.into_bytes();
-        let mut r = StateReader::new(&bytes);
+        let mut r = Reader::new(&bytes);
         let got = read_train_report(&mut r).unwrap();
         r.finish().unwrap();
         assert_eq!(got.best_epoch, report.best_epoch);
@@ -481,7 +240,7 @@ mod tests {
 
     #[test]
     fn truncation_and_garbage_error_not_panic() {
-        let mut w = StateWriter::new();
+        let mut w = Writer::new();
         let mut rng = Rng::new(2);
         write_sequential(
             &mut w,
@@ -489,34 +248,34 @@ mod tests {
         );
         let bytes = w.into_bytes();
         for end in 0..bytes.len() {
-            let mut r = StateReader::new(&bytes[..end]);
+            let mut r = Reader::new(&bytes[..end]);
             assert!(read_sequential(&mut r).is_err(), "prefix {end} decoded");
         }
         // Unknown layer tag.
-        let mut w = StateWriter::new();
+        let mut w = Writer::new();
         w.usize(1);
         w.u8(99);
         let bytes = w.into_bytes();
-        assert!(read_sequential(&mut StateReader::new(&bytes)).is_err());
+        assert!(read_sequential(&mut Reader::new(&bytes)).is_err());
         // Oversized length fields error instead of allocating or wrapping.
-        let mut w = StateWriter::new();
+        let mut w = Writer::new();
         w.u64(u64::MAX);
         let bytes = w.into_bytes();
-        assert!(StateReader::new(&bytes).string().is_err());
-        assert!(StateReader::new(&bytes).f64_vec().is_err());
+        assert!(Reader::new(&bytes).str_u64().is_err());
+        assert!(Reader::new(&bytes).f64_vec().is_err());
         // Bad bool byte.
-        assert!(StateReader::new(&[2]).bool().is_err());
+        assert!(Reader::new(&[2]).bool().is_err());
         // Trailing garbage fails finish().
-        let r = StateReader::new(&[0]);
+        let r = Reader::new(&[0]);
         assert!(r.finish().is_err());
     }
 
     #[test]
     fn dense_bias_shape_is_validated() {
-        let mut w = StateWriter::new();
+        let mut w = Writer::new();
         w.matrix(&Matrix::zeros(3, 4)); // weights 3x4
         w.matrix(&Matrix::zeros(2, 4)); // bias must be 1x4
         let bytes = w.into_bytes();
-        assert!(read_dense(&mut StateReader::new(&bytes)).is_err());
+        assert!(read_dense(&mut Reader::new(&bytes)).is_err());
     }
 }

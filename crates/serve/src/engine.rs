@@ -24,63 +24,22 @@
 //! boundaries with no deadlines, faults or degradation; its response
 //! bytes are bit-identical at every `CALLOC_THREADS` and across
 //! cold/warm model caches, which is what `tests/serve_robustness.rs`
-//! pins. Fault injection is a [`ServeFaults`] plan keyed on admission
-//! sequence numbers — never ambient randomness — mirroring
-//! `calloc_eval::FaultPlan`.
+//! pins. Fault injection is a [`FaultPlan`] keyed on admission sequence
+//! numbers — never ambient randomness — the same type the sweep engine
+//! keys on plan indices.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use calloc_tensor::{par, Matrix};
+use calloc_tensor::par::{self, FaultPlan};
+use calloc_tensor::Matrix;
 
 use crate::frame::{HealthReport, Response, ServeError};
 use crate::registry::Registry;
-
-/// Deterministic fault plan for the serving path: the admission
-/// sequence numbers whose inference must panic (payload marked
-/// `"injected fault"` so `par::silence_injected_panics` applies). The
-/// serving analogue of `calloc_eval::FaultPlan` — tests inject faults
-/// by plan, never by ambient randomness.
-#[derive(Debug, Clone, Default)]
-pub struct ServeFaults {
-    panics: BTreeSet<u64>,
-}
-
-impl ServeFaults {
-    /// The empty plan: no injected faults.
-    pub fn none() -> Self {
-        ServeFaults::default()
-    }
-
-    /// A plan that panics the queries with the given admission sequence
-    /// numbers (the first admitted query is 0).
-    pub fn panic_on(ids: impl IntoIterator<Item = u64>) -> Self {
-        ServeFaults {
-            panics: ids.into_iter().collect(),
-        }
-    }
-
-    /// Whether the plan injects a fault for admission number `id`.
-    pub fn should_panic(&self, id: u64) -> bool {
-        self.panics.contains(&id)
-    }
-
-    /// Whether the plan is empty.
-    pub fn is_empty(&self) -> bool {
-        self.panics.is_empty()
-    }
-
-    /// Panics iff the plan names `id`.
-    pub fn maybe_panic(&self, id: u64) {
-        if self.should_panic(id) {
-            panic!("injected fault: serve request {id}");
-        }
-    }
-}
 
 /// Engine tuning knobs.
 #[derive(Debug, Clone)]
@@ -97,8 +56,12 @@ pub struct ServeConfig {
     /// at or above this, the batch runs on the members' fallback models
     /// (where configured). `usize::MAX` disables degradation.
     pub degrade_watermark: usize,
-    /// Deterministic fault-injection plan (tests only; defaults empty).
-    pub faults: ServeFaults,
+    /// Deterministic fault-injection plan keyed by admission sequence
+    /// number, the first admitted query being 0 (tests only; defaults
+    /// empty). A query panics on its batched attempt (attempt 0) and on
+    /// its query-by-query rerun (attempt 1) as the plan says; one that
+    /// panics on both is quarantined with [`ServeError::Internal`].
+    pub faults: FaultPlan,
 }
 
 impl Default for ServeConfig {
@@ -108,7 +71,7 @@ impl Default for ServeConfig {
             queue_capacity: 256,
             batch_window: Duration::from_millis(1),
             degrade_watermark: 128,
-            faults: ServeFaults::none(),
+            faults: FaultPlan::none(),
         }
     }
 }
@@ -416,7 +379,7 @@ fn infer_group(
     model: &str,
     queries: &[(u64, &[f64])],
     degraded: bool,
-    faults: &ServeFaults,
+    faults: &FaultPlan,
 ) -> Vec<Response> {
     let Some(member) = registry.get(model) else {
         return queries
@@ -433,7 +396,7 @@ fn infer_group(
     let rows: Vec<&[f64]> = queries.iter().map(|&(_, row)| row).collect();
     let batch = par::caught(|| {
         for &(id, _) in queries {
-            faults.maybe_panic(id);
+            faults.maybe_panic(id as usize, 0);
         }
         member.locate_batch(&matrix_of(&rows), degraded)
     });
@@ -443,7 +406,7 @@ fn infer_group(
             .iter()
             .map(|&(id, row)| {
                 par::caught(|| {
-                    faults.maybe_panic(id);
+                    faults.maybe_panic(id as usize, 1);
                     member.locate_batch(&matrix_of(&[row]), degraded)[0]
                 })
                 .map(Response::Located)
@@ -470,7 +433,7 @@ pub type LogEntry = (String, Vec<f64>);
 /// `batch_size`, the returned responses are bit-identical at every
 /// `CALLOC_THREADS` setting and across cold/warm model caches.
 pub fn replay(registry: &Registry, log: &[LogEntry], batch_size: usize) -> Vec<Response> {
-    let faults = ServeFaults::none();
+    let faults = FaultPlan::none();
     let mut responses: Vec<Option<Response>> = (0..log.len()).map(|_| None).collect();
     for (chunk_index, chunk) in log.chunks(batch_size.max(1)).enumerate() {
         let base = chunk_index * batch_size.max(1);

@@ -2,7 +2,10 @@
 //!
 //! Every message travels inside one **frame**, mirroring the persistence
 //! discipline of `calloc_eval::store`: magic bytes, a format version, an
-//! explicit payload length, and an FNV-1a checksum over the payload. The
+//! explicit payload length, and an FNV-1a checksum over the payload. Both
+//! are written with the workspace's one binary codec,
+//! [`calloc_tensor::codec`], whose bounds-checked reader decodes every
+//! header and payload field here. The
 //! decoding law is the store truncation law transplanted to the wire:
 //! **any** truncated, corrupt, oversized or bit-flipped frame decodes as
 //! a typed [`ServeError`] — never a panic, never a hang, never silently
@@ -38,6 +41,8 @@
 use std::fmt;
 use std::io::{self, ErrorKind, Read, Write};
 
+use calloc_tensor::codec::{fnv1a, Reader, Writer};
+
 /// Magic bytes opening every frame.
 pub const MAGIC: &[u8; 8] = b"CALLOCSF";
 
@@ -53,17 +58,6 @@ pub const MAX_PAYLOAD: u32 = 1 << 20;
 
 /// Frame header size in bytes: magic + version + length + checksum.
 pub const HEADER_LEN: usize = 8 + 4 + 4 + 8;
-
-/// FNV-1a over `bytes` — the same checksum family the persistence
-/// layers guard their records with.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x100_0000_01b3);
-    }
-    hash
-}
 
 /// Every way the service refuses or fails a request, as carried on the
 /// wire inside an error response. The variants are the protocol's whole
@@ -263,77 +257,6 @@ pub enum Response {
     },
 }
 
-// --- byte-level helpers ----------------------------------------------------
-
-/// Bounds-checked little-endian reader over a payload slice. Every
-/// failure is a `String` detail that callers wrap into a typed error;
-/// nothing here panics on any input.
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(bytes: &'a [u8]) -> Self {
-        Cursor { bytes, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-        let remaining = self.bytes.len() - self.pos;
-        if n > remaining {
-            return Err(format!("needed {n} bytes, {remaining} left"));
-        }
-        let slice = &self.bytes[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(slice)
-    }
-
-    fn u8(&mut self) -> Result<u8, String> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, String> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, String> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn f64(&mut self) -> Result<f64, String> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        let len = self.u32()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| "string is not UTF-8".to_string())
-    }
-
-    /// Asserts the payload is fully consumed — trailing bytes mean the
-    /// message is malformed, not ignorable.
-    fn done(&self) -> Result<(), String> {
-        let left = self.bytes.len() - self.pos;
-        if left != 0 {
-            return Err(format!("{left} trailing bytes after message"));
-        }
-        Ok(())
-    }
-}
-
-fn push_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn push_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn push_str(out: &mut Vec<u8>, s: &str) {
-    push_u32(out, s.len() as u32);
-    out.extend_from_slice(s.as_bytes());
-}
-
 // --- frame layer -----------------------------------------------------------
 
 /// Encodes `payload` into one complete frame (header + payload).
@@ -348,13 +271,34 @@ pub fn encode_frame(payload: &[u8]) -> Vec<u8> {
         payload.len() <= MAX_PAYLOAD as usize,
         "frame payload exceeds MAX_PAYLOAD"
     );
-    let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
-    out.extend_from_slice(MAGIC);
-    push_u32(&mut out, VERSION);
-    push_u32(&mut out, payload.len() as u32);
-    push_u64(&mut out, fnv1a(payload));
-    out.extend_from_slice(payload);
-    out
+    let mut w = Writer::with_capacity(HEADER_LEN + payload.len());
+    w.bytes(MAGIC);
+    w.u32(VERSION);
+    w.u32(payload.len() as u32);
+    w.u64(fnv1a(payload));
+    w.bytes(payload);
+    w.into_bytes()
+}
+
+/// Parses and checks a frame header (magic, version, the payload cap),
+/// returning the payload length and checksum. Shared by [`decode_frame`]
+/// and [`read_frame`].
+fn parse_header(header: &[u8]) -> Result<(u32, u64), ServeError> {
+    let mut r = Reader::new(header);
+    if r.bytes(8).map_err(bad_frame)? != MAGIC {
+        return Err(bad_frame("bad magic"));
+    }
+    let version = r.u32().map_err(bad_frame)?;
+    if version != VERSION {
+        return Err(bad_frame(format!("unsupported version {version}")));
+    }
+    let length = r.u32().map_err(bad_frame)?;
+    if length > MAX_PAYLOAD {
+        return Err(bad_frame(format!(
+            "payload length {length} exceeds cap {MAX_PAYLOAD}"
+        )));
+    }
+    Ok((length, r.u64().map_err(bad_frame)?))
 }
 
 /// Decodes exactly one frame from `bytes` and returns its payload.
@@ -370,22 +314,7 @@ pub fn decode_frame(bytes: &[u8]) -> Result<Vec<u8>, ServeError> {
         )));
     }
     let (header, body) = bytes.split_at(HEADER_LEN);
-    let mut cursor = Cursor::new(header);
-    let magic = cursor.take(8).expect("header length checked");
-    if magic != MAGIC {
-        return Err(bad_frame("bad magic"));
-    }
-    let version = cursor.u32().expect("header length checked");
-    if version != VERSION {
-        return Err(bad_frame(format!("unsupported version {version}")));
-    }
-    let length = cursor.u32().expect("header length checked");
-    if length > MAX_PAYLOAD {
-        return Err(bad_frame(format!(
-            "payload length {length} exceeds cap {MAX_PAYLOAD}"
-        )));
-    }
-    let checksum = cursor.u64().expect("header length checked");
+    let (length, checksum) = parse_header(header)?;
     if body.len() != length as usize {
         return Err(bad_frame(format!(
             "payload length mismatch: header says {length}, got {}",
@@ -475,24 +404,10 @@ pub fn read_frame(reader: &mut impl Read) -> io::Result<FrameRead> {
         }
         Fill::Full => {}
     }
-    let mut cursor = Cursor::new(&header);
-    let magic = cursor.take(8).expect("header buffer is HEADER_LEN");
-    if magic != MAGIC {
-        return Ok(FrameRead::Corrupt(bad_frame("bad magic")));
-    }
-    let version = cursor.u32().expect("header buffer is HEADER_LEN");
-    if version != VERSION {
-        return Ok(FrameRead::Corrupt(bad_frame(format!(
-            "unsupported version {version}"
-        ))));
-    }
-    let length = cursor.u32().expect("header buffer is HEADER_LEN");
-    if length > MAX_PAYLOAD {
-        return Ok(FrameRead::Corrupt(bad_frame(format!(
-            "payload length {length} exceeds cap {MAX_PAYLOAD}"
-        ))));
-    }
-    let checksum = cursor.u64().expect("header buffer is HEADER_LEN");
+    let (length, checksum) = match parse_header(&header) {
+        Ok(fields) => fields,
+        Err(error) => return Ok(FrameRead::Corrupt(error)),
+    };
     let mut payload = vec![0u8; length as usize];
     match fill(reader, &mut payload)? {
         Fill::Full => {}
@@ -518,58 +433,45 @@ pub fn write_frame(writer: &mut impl Write, payload: &[u8]) -> io::Result<()> {
 impl Request {
     /// Encodes the request into a frame payload.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
+        let mut w = Writer::new();
         match self {
             Request::Locate {
                 model,
                 deadline_ms,
                 fingerprint,
             } => {
-                out.push(0x01);
-                push_str(&mut out, model);
-                push_u32(&mut out, *deadline_ms);
-                push_u32(&mut out, fingerprint.len() as u32);
-                for &v in fingerprint {
-                    push_u64(&mut out, v.to_bits());
-                }
+                w.u8(0x01);
+                w.str_u32(model);
+                w.u32(*deadline_ms);
+                w.u32(fingerprint.len() as u32);
+                w.f64s(fingerprint);
             }
-            Request::Health => out.push(0x02),
-            Request::Drain => out.push(0x03),
+            Request::Health => w.u8(0x02),
+            Request::Drain => w.u8(0x03),
         }
-        out
+        w.into_bytes()
     }
 
     /// Decodes a frame payload into a request; any structural problem is
     /// a [`ServeError::BadMessage`].
     pub fn decode(payload: &[u8]) -> Result<Request, ServeError> {
-        let mut cursor = Cursor::new(payload);
-        let request = match cursor.u8().map_err(bad_message)? {
+        let mut r = Reader::new(payload);
+        let request = match r.u8().map_err(bad_message)? {
             0x01 => {
-                let model = cursor.string().map_err(bad_message)?;
-                let deadline_ms = cursor.u32().map_err(bad_message)?;
-                let n = cursor.u32().map_err(bad_message)? as usize;
-                // Bound the allocation by the bytes actually present.
-                let remaining = payload.len() - cursor.pos;
-                if n.checked_mul(8).is_none_or(|bytes| bytes > remaining) {
-                    return Err(bad_message(format!(
-                        "fingerprint count {n} exceeds payload"
-                    )));
-                }
-                let mut fingerprint = Vec::with_capacity(n);
-                for _ in 0..n {
-                    fingerprint.push(cursor.f64().map_err(bad_message)?);
-                }
+                let model = r.str_u32().map_err(bad_message)?;
+                let deadline_ms = r.u32().map_err(bad_message)?;
+                let n = r.u32().map_err(bad_message)?;
                 Request::Locate {
                     model,
                     deadline_ms,
-                    fingerprint,
+                    fingerprint: r.f64s(n as usize).map_err(bad_message)?,
                 }
             }
             0x02 => Request::Health,
             0x03 => Request::Drain,
             tag => return Err(bad_message(format!("unknown request tag {tag:#04x}"))),
         };
-        cursor.done().map_err(bad_message)?;
+        r.finish().map_err(bad_message)?;
         Ok(request)
     }
 }
@@ -577,108 +479,99 @@ impl Request {
 impl Response {
     /// Encodes the response into a frame payload.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
+        let mut w = Writer::new();
         match self {
             Response::Located(location) => {
-                out.push(0x10);
-                push_u64(&mut out, location.rp_class);
-                push_u64(&mut out, location.x.to_bits());
-                push_u64(&mut out, location.y.to_bits());
-                out.push(u8::from(location.degraded));
+                w.u8(0x10);
+                w.u64(location.rp_class);
+                w.f64(location.x);
+                w.f64(location.y);
+                w.bool(location.degraded);
             }
             Response::Error(error) => {
-                out.push(0x11);
-                out.push(error.code());
+                w.u8(0x11);
+                w.u8(error.code());
                 match error {
                     ServeError::BadFrame { detail }
                     | ServeError::BadMessage { detail }
-                    | ServeError::Internal { detail } => push_str(&mut out, detail),
-                    ServeError::UnknownModel { model } => push_str(&mut out, model),
+                    | ServeError::Internal { detail } => w.str_u32(detail),
+                    ServeError::UnknownModel { model } => w.str_u32(model),
                     ServeError::BadArity {
                         model,
                         expected,
                         got,
                     } => {
-                        push_str(&mut out, model);
-                        push_u32(&mut out, *expected);
-                        push_u32(&mut out, *got);
+                        w.str_u32(model);
+                        w.u32(*expected);
+                        w.u32(*got);
                     }
-                    ServeError::DeadlineExceeded { deadline_ms } => {
-                        push_u32(&mut out, *deadline_ms)
-                    }
-                    ServeError::Overloaded { retry_after_ms } => {
-                        push_u32(&mut out, *retry_after_ms)
-                    }
+                    ServeError::DeadlineExceeded { deadline_ms } => w.u32(*deadline_ms),
+                    ServeError::Overloaded { retry_after_ms } => w.u32(*retry_after_ms),
                     ServeError::Draining => {}
                 }
             }
             Response::Health(report) => {
-                out.push(0x12);
-                push_u64(&mut out, report.admitted);
-                push_u64(&mut out, report.served);
-                push_u64(&mut out, report.shed);
-                push_u64(&mut out, report.quarantined);
-                push_u64(&mut out, report.deadline_expired);
-                push_u64(&mut out, report.degraded);
-                push_u64(&mut out, report.queue_depth);
-                push_u64(&mut out, report.queue_peak);
-                push_u64(&mut out, report.batches);
-                out.push(u8::from(report.draining));
+                w.u8(0x12);
+                w.u64(report.admitted);
+                w.u64(report.served);
+                w.u64(report.shed);
+                w.u64(report.quarantined);
+                w.u64(report.deadline_expired);
+                w.u64(report.degraded);
+                w.u64(report.queue_depth);
+                w.u64(report.queue_peak);
+                w.u64(report.batches);
+                w.bool(report.draining);
             }
             Response::Drained { served } => {
-                out.push(0x13);
-                push_u64(&mut out, *served);
+                w.u8(0x13);
+                w.u64(*served);
             }
         }
-        out
+        w.into_bytes()
     }
 
     /// Decodes a frame payload into a response; any structural problem
     /// is a [`ServeError::BadMessage`].
     pub fn decode(payload: &[u8]) -> Result<Response, ServeError> {
-        let mut cursor = Cursor::new(payload);
-        let response = match cursor.u8().map_err(bad_message)? {
+        let mut r = Reader::new(payload);
+        let response = match r.u8().map_err(bad_message)? {
             0x10 => {
-                let rp_class = cursor.u64().map_err(bad_message)?;
-                let x = cursor.f64().map_err(bad_message)?;
-                let y = cursor.f64().map_err(bad_message)?;
-                let degraded = match cursor.u8().map_err(bad_message)? {
-                    0 => false,
-                    1 => true,
-                    other => return Err(bad_message(format!("bad degraded flag {other}"))),
-                };
+                let rp_class = r.u64().map_err(bad_message)?;
+                let x = r.f64().map_err(bad_message)?;
+                let y = r.f64().map_err(bad_message)?;
                 Response::Located(Location {
                     rp_class,
                     x,
                     y,
-                    degraded,
+                    degraded: r.bool().map_err(bad_message)?,
                 })
             }
             0x11 => {
-                let error = match cursor.u8().map_err(bad_message)? {
+                let error = match r.u8().map_err(bad_message)? {
                     1 => ServeError::BadFrame {
-                        detail: cursor.string().map_err(bad_message)?,
+                        detail: r.str_u32().map_err(bad_message)?,
                     },
                     2 => ServeError::BadMessage {
-                        detail: cursor.string().map_err(bad_message)?,
+                        detail: r.str_u32().map_err(bad_message)?,
                     },
                     3 => ServeError::UnknownModel {
-                        model: cursor.string().map_err(bad_message)?,
+                        model: r.str_u32().map_err(bad_message)?,
                     },
                     4 => ServeError::BadArity {
-                        model: cursor.string().map_err(bad_message)?,
-                        expected: cursor.u32().map_err(bad_message)?,
-                        got: cursor.u32().map_err(bad_message)?,
+                        model: r.str_u32().map_err(bad_message)?,
+                        expected: r.u32().map_err(bad_message)?,
+                        got: r.u32().map_err(bad_message)?,
                     },
                     5 => ServeError::DeadlineExceeded {
-                        deadline_ms: cursor.u32().map_err(bad_message)?,
+                        deadline_ms: r.u32().map_err(bad_message)?,
                     },
                     6 => ServeError::Overloaded {
-                        retry_after_ms: cursor.u32().map_err(bad_message)?,
+                        retry_after_ms: r.u32().map_err(bad_message)?,
                     },
                     7 => ServeError::Draining,
                     8 => ServeError::Internal {
-                        detail: cursor.string().map_err(bad_message)?,
+                        detail: r.str_u32().map_err(bad_message)?,
                     },
                     code => return Err(bad_message(format!("unknown error code {code}"))),
                 };
@@ -686,29 +579,25 @@ impl Response {
             }
             0x12 => {
                 let report = HealthReport {
-                    admitted: cursor.u64().map_err(bad_message)?,
-                    served: cursor.u64().map_err(bad_message)?,
-                    shed: cursor.u64().map_err(bad_message)?,
-                    quarantined: cursor.u64().map_err(bad_message)?,
-                    deadline_expired: cursor.u64().map_err(bad_message)?,
-                    degraded: cursor.u64().map_err(bad_message)?,
-                    queue_depth: cursor.u64().map_err(bad_message)?,
-                    queue_peak: cursor.u64().map_err(bad_message)?,
-                    batches: cursor.u64().map_err(bad_message)?,
-                    draining: match cursor.u8().map_err(bad_message)? {
-                        0 => false,
-                        1 => true,
-                        other => return Err(bad_message(format!("bad draining flag {other}"))),
-                    },
+                    admitted: r.u64().map_err(bad_message)?,
+                    served: r.u64().map_err(bad_message)?,
+                    shed: r.u64().map_err(bad_message)?,
+                    quarantined: r.u64().map_err(bad_message)?,
+                    deadline_expired: r.u64().map_err(bad_message)?,
+                    degraded: r.u64().map_err(bad_message)?,
+                    queue_depth: r.u64().map_err(bad_message)?,
+                    queue_peak: r.u64().map_err(bad_message)?,
+                    batches: r.u64().map_err(bad_message)?,
+                    draining: r.bool().map_err(bad_message)?,
                 };
                 Response::Health(report)
             }
             0x13 => Response::Drained {
-                served: cursor.u64().map_err(bad_message)?,
+                served: r.u64().map_err(bad_message)?,
             },
             tag => return Err(bad_message(format!("unknown response tag {tag:#04x}"))),
         };
-        cursor.done().map_err(bad_message)?;
+        r.finish().map_err(bad_message)?;
         Ok(response)
     }
 }

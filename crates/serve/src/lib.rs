@@ -24,7 +24,7 @@ pub mod frame;
 pub mod registry;
 pub mod server;
 
-pub use engine::{replay, replay_frames, Engine, LogEntry, ServeConfig, ServeFaults};
+pub use engine::{replay, replay_frames, Engine, LogEntry, ServeConfig};
 pub use frame::{
     decode_frame, encode_frame, read_frame, write_frame, FrameRead, HealthReport, Location,
     Request, Response, ServeError,

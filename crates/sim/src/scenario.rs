@@ -111,7 +111,7 @@ impl Scenario {
     /// merged in session order; each session owns a forked RNG stream, so
     /// the result is bit-identical for every thread count — and
     /// bit-identical to the historical serial implementation (see the
-    /// [module docs](self)).
+    /// `scenario` module docs).
     pub fn generate(building: &Building, config: &CollectionConfig, seed: u64) -> Self {
         let mut rng = Rng::new(seed ^ building.spec().seed.rotate_left(17));
         // Fork every session stream up front, in the order the serial

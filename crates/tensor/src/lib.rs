@@ -21,6 +21,9 @@
 //!   row-parallel and bit-identical to the scalar loops they replaced.
 //! * [`stats`] — descriptive statistics (mean, std, percentiles) used by the
 //!   evaluation harness.
+//! * [`codec`] — the one binary codec (little-endian [`codec::Writer`] /
+//!   bounds-checked [`codec::Reader`], FNV-1a) behind the result store,
+//!   the model cache, the serve frames and every model's state bytes.
 //! * [`par`] — the deterministic parallel compute runtime (`CALLOC_THREADS`
 //!   knob, index-order-merge fork-join primitives) behind the parallel
 //!   matrix kernels; results are bit-identical for every thread count.
@@ -43,6 +46,7 @@
 mod matrix;
 mod rng;
 
+pub mod codec;
 pub mod kernel;
 pub mod linalg;
 pub mod par;

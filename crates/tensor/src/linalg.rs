@@ -227,83 +227,6 @@ pub fn solve_spd(a: &Matrix, b: &Matrix) -> Result<Matrix, TensorError> {
     solve_upper_from_lower(&l, &y)
 }
 
-/// Rank-1 **update** of a Cholesky factor: given lower-triangular `L`
-/// with `A = L Lᵀ` and a column vector `v`, returns the factor `L'` of
-/// `A + v vᵀ` in `O(n²)` — without refactoring the `O(n³)` matrix.
-///
-/// The factor is rotated column by column with Givens-style rotations
-/// (the classic `cholupdate` recurrence); this is the primitive behind
-/// online recalibration (`calloc_baselines`' `GpcLocalizer::absorb`
-/// folds newly surveyed fingerprints into its kernel factor instead of
-/// refitting). Like all incremental paths it lives in the **tolerance
-/// tier**: the result agrees with a fresh factorization of `A + v vᵀ` to
-/// floating-point rounding, not bit-exactly —
-/// `crates/tensor/tests/proptest_linalg.rs` pins the tolerance.
-///
-/// # Errors
-///
-/// Returns [`TensorError::ShapeMismatch`] if `l` is not square or `v` is
-/// not an `n×1` column, and [`TensorError::Numeric`] if a diagonal
-/// element of `l` is not positive.
-pub fn cholesky_update(l: &Matrix, v: &Matrix) -> Result<Matrix, TensorError> {
-    rank_one_rotate(l, v, 1.0)
-}
-
-/// Rank-1 **downdate** of a Cholesky factor: given `L` with `A = L Lᵀ`,
-/// returns the factor of `A − v vᵀ` in `O(n²)` — the inverse of
-/// [`cholesky_update`], used to retire stale fingerprints from an online
-/// factor.
-///
-/// # Errors
-///
-/// Returns [`TensorError::ShapeMismatch`] on bad shapes and
-/// [`TensorError::Numeric`] if `A − v vᵀ` is not positive definite to
-/// working precision (the downdated pivot would be non-positive).
-pub fn cholesky_downdate(l: &Matrix, v: &Matrix) -> Result<Matrix, TensorError> {
-    rank_one_rotate(l, v, -1.0)
-}
-
-/// Shared recurrence of [`cholesky_update`] (`sign = +1`) and
-/// [`cholesky_downdate`] (`sign = -1`).
-fn rank_one_rotate(l: &Matrix, v: &Matrix, sign: f64) -> Result<Matrix, TensorError> {
-    let n = l.rows();
-    if l.cols() != n || v.rows() != n || v.cols() != 1 {
-        return Err(TensorError::ShapeMismatch(format!(
-            "cholesky rank-1: L is {}x{}, v is {}x{} (need n x n and n x 1)",
-            l.rows(),
-            l.cols(),
-            v.rows(),
-            v.cols()
-        )));
-    }
-    let mut out = l.clone();
-    let mut x: Vec<f64> = (0..n).map(|i| v.get(i, 0)).collect();
-    for k in 0..n {
-        let d = out.get(k, k);
-        if d <= 0.0 {
-            return Err(TensorError::Numeric(format!(
-                "non-positive diagonal {d:.3e} at row {k}; not a Cholesky factor"
-            )));
-        }
-        let r2 = d * d + sign * x[k] * x[k];
-        if r2 <= 0.0 {
-            return Err(TensorError::Numeric(format!(
-                "downdated pivot {r2:.3e} at row {k}; result is not positive definite"
-            )));
-        }
-        let r = r2.sqrt();
-        let c = r / d;
-        let s = x[k] / d;
-        out.set(k, k, r);
-        for (i, xi) in x.iter_mut().enumerate().skip(k + 1) {
-            let lik = (out.get(i, k) + sign * s * *xi) / c;
-            out.set(i, k, lik);
-            *xi = c * *xi - s * lik;
-        }
-    }
-    Ok(out)
-}
-
 /// Adds `jitter` to the diagonal of a square matrix (in place on a copy).
 ///
 /// Kernel matrices are often numerically semi-definite; a small diagonal
@@ -404,73 +327,6 @@ mod tests {
         assert!(l.matmul(&y).approx_eq(&b, 1e-9));
         let x = solve_upper_from_lower(&l, &y).expect("bwd");
         assert!(l.transpose().matmul(&x).approx_eq(&y, 1e-9));
-    }
-
-    #[test]
-    fn update_reconstructs_the_rank_one_perturbed_matrix() {
-        let a = random_spd(9, 5);
-        let l = cholesky(&a).expect("spd");
-        let mut rng = Rng::new(6);
-        let v = Matrix::from_fn(9, 1, |_, _| rng.normal(0.0, 1.0));
-        let updated = cholesky_update(&l, &v).expect("update");
-        let expected = {
-            let mut m = a.clone();
-            for i in 0..9 {
-                for j in 0..9 {
-                    m.set(i, j, m.get(i, j) + v.get(i, 0) * v.get(j, 0));
-                }
-            }
-            m
-        };
-        assert!(updated
-            .matmul(&updated.transpose())
-            .approx_eq(&expected, 1e-9));
-        // The factor stays lower triangular.
-        for i in 0..9 {
-            for j in i + 1..9 {
-                assert_eq!(updated.get(i, j), 0.0);
-            }
-        }
-    }
-
-    #[test]
-    fn downdate_inverts_update() {
-        let a = random_spd(7, 8);
-        let l = cholesky(&a).expect("spd");
-        let mut rng = Rng::new(9);
-        let v = Matrix::from_fn(7, 1, |_, _| rng.normal(0.0, 1.0));
-        let round_trip =
-            cholesky_downdate(&cholesky_update(&l, &v).expect("update"), &v).expect("downdate");
-        assert!(round_trip.approx_eq(&l, 1e-8));
-    }
-
-    #[test]
-    fn downdate_rejects_a_rank_one_term_that_breaks_definiteness() {
-        let a = random_spd(5, 10);
-        let l = cholesky(&a).expect("spd");
-        // Subtracting 10·A's first basis direction overwhelms the matrix.
-        let big = Matrix::from_fn(5, 1, |i, _| if i == 0 { 1e6 } else { 0.0 });
-        assert!(matches!(
-            cholesky_downdate(&l, &big),
-            Err(TensorError::Numeric(_))
-        ));
-    }
-
-    #[test]
-    fn rank_one_rejects_bad_shapes() {
-        let l = cholesky(&random_spd(4, 11)).expect("spd");
-        assert!(matches!(
-            cholesky_update(&l, &Matrix::zeros(3, 1)),
-            Err(TensorError::ShapeMismatch(_))
-        ));
-        assert!(matches!(
-            cholesky_update(&l, &Matrix::zeros(4, 2)),
-            Err(TensorError::ShapeMismatch(_))
-        ));
-        assert!(matches!(
-            cholesky_update(&Matrix::zeros(3, 4), &Matrix::zeros(3, 1)),
-            Err(TensorError::ShapeMismatch(_))
-        ));
     }
 
     #[test]

@@ -63,7 +63,7 @@
 //! nesting only shifts wall time, never bits.
 
 use std::any::Any;
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 use std::ops::Range;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -475,6 +475,64 @@ pub fn caught<T>(f: impl FnOnce() -> T) -> Result<T, CaughtPanic> {
     panic::catch_unwind(AssertUnwindSafe(f)).map_err(CaughtPanic::from_payload)
 }
 
+/// A deterministic fault-injection schedule: "panic on ids {i…}, on
+/// their first *k* attempts". The sweep engine keys it by plan index and
+/// counts retries; the serving engine keys it by admission sequence
+/// number. It is threaded in explicitly, never drawn from ambient
+/// randomness, so the same plan injects the same panics on every run, at
+/// every thread count, and the quarantine and retry paths behind
+/// [`caught`] stay testable under the determinism contract.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct FaultPlan {
+    /// id → number of leading attempts that panic.
+    panics: BTreeMap<usize, usize>,
+}
+
+impl FaultPlan {
+    /// An empty plan: no injected faults (the production default).
+    pub fn none() -> Self {
+        FaultPlan::default()
+    }
+
+    /// Whether the plan injects no faults at all.
+    pub fn is_empty(&self) -> bool {
+        self.panics.is_empty()
+    }
+
+    /// Builder: `id` panics on its first `failing_attempts` attempts
+    /// (attempt numbers `0..failing_attempts`) and succeeds from then on.
+    /// `usize::MAX` poisons it for good.
+    pub fn panicking(mut self, id: usize, failing_attempts: usize) -> Self {
+        if failing_attempts > 0 {
+            self.panics.insert(id, failing_attempts);
+        }
+        self
+    }
+
+    /// Bulk constructor: every listed id panics on its first
+    /// `failing_attempts` attempts.
+    pub fn panic_on(ids: &[usize], failing_attempts: usize) -> Self {
+        ids.iter().fold(FaultPlan::none(), |plan, &id| {
+            plan.panicking(id, failing_attempts)
+        })
+    }
+
+    /// Whether the schedule calls for a panic at this id and attempt.
+    pub fn should_panic(&self, id: usize, attempt: usize) -> bool {
+        self.panics
+            .get(&id)
+            .is_some_and(|&failing| attempt < failing)
+    }
+
+    /// Panics with a recognizable `injected fault` payload (see
+    /// [`silence_injected_panics`]) if the schedule calls for it.
+    pub fn maybe_panic(&self, id: usize, attempt: usize) {
+        if self.should_panic(id, attempt) {
+            panic!("injected fault: id {id}, attempt {attempt}");
+        }
+    }
+}
+
 /// The panic-isolating variant of [`par_run`]: runs the jobs with the same
 /// FIFO-reclaiming fan-out and job-order merge, but a panicking job yields
 /// `Err(CaughtPanic)` in its slot instead of poisoning the whole fan-out
@@ -493,7 +551,7 @@ pub fn par_run_caught<R: Send>(
 /// Installs (once, process-wide) a panic-hook filter that suppresses the
 /// default "thread panicked" stderr report for panics whose payload
 /// contains `"injected fault"` — the recognizable prefix of
-/// fault-injection panics (see `calloc_eval`'s `FaultPlan`). All other
+/// fault-injection panics (see [`FaultPlan`]). All other
 /// panics keep the previous hook's behavior. Test harnesses exercising
 /// quarantine/retry paths call this so thousands of *expected* injected
 /// panics don't flood the test log; it never changes what

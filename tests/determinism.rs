@@ -399,7 +399,8 @@ fn scenario_grid_is_thread_count_invariant() {
 /// same CSV bytes — to the plain one-shot sweep, at every thread count.
 #[test]
 fn resume_after_injected_fault_is_thread_count_invariant() {
-    use calloc_eval::{ExecSpec, FaultPlan, Suite, SuiteProfile, SweepSpec};
+    use calloc_eval::{ExecSpec, Suite, SuiteProfile, SweepSpec};
+    use calloc_tensor::par::FaultPlan;
 
     calloc_tensor::par::silence_injected_panics();
     let _guard = lock_knobs();

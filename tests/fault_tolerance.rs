@@ -12,16 +12,16 @@
 //! and 8) plus a dedicated fault-injection leg, and the in-process
 //! invariance test additionally compares thread counts 1 and 4.
 //!
-//! Faults are injected only through [`calloc_eval::FaultPlan`] — an
+//! Faults are injected only through [`calloc_tensor::par::FaultPlan`] — an
 //! explicit, deterministic schedule on plan indices — never ambient
 //! randomness, so every leg injects exactly the same panics.
 
-use calloc_eval::{ExecSpec, FaultPlan, ResultStore, Suite, SweepPlan};
+use calloc_eval::{ExecSpec, ResultStore, Suite, SweepPlan};
 use calloc_repro::testkit::{
     lock_knobs, quick_sweep_spec, scenario_and_suite, silence_injected_panics,
 };
 use calloc_sim::Dataset;
-use calloc_tensor::par;
+use calloc_tensor::par::{self, FaultPlan};
 use std::path::PathBuf;
 
 const GOLDEN_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/quick_sweep.csv");

@@ -10,7 +10,7 @@
 //!    names (malformed frames, deadline expiry, overload shedding,
 //!    mid-request panics, drain) is answered with a *typed* protocol
 //!    reply and the server keeps serving afterwards. Faults are
-//!    injected through the deterministic [`ServeFaults`] plan, never
+//!    injected through the deterministic [`FaultPlan`], never
 //!    ambient randomness.
 //!
 //! The fixture is the pinned quick-tier scenario shared with the golden
@@ -24,10 +24,10 @@ use calloc_repro::testkit::{
 };
 use calloc_serve::{
     boot, decode_frame, encode_frame, replay_frames, Client, Engine, LogEntry, Registry, Request,
-    Response, ServeConfig, ServeError, ServeFaults, ServeMember, Server,
+    Response, ServeConfig, ServeError, ServeMember, Server,
 };
 use calloc_sim::{collection_identity, Building, CollectionConfig, Scenario};
-use calloc_tensor::par;
+use calloc_tensor::par::{self, FaultPlan};
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Barrier, OnceLock};
@@ -450,7 +450,7 @@ fn injected_panics_are_quarantined_per_request() {
     let config = ServeConfig {
         max_batch: 8,
         batch_window: Duration::from_millis(60),
-        faults: ServeFaults::panic_on([1, 4]),
+        faults: FaultPlan::panic_on(&[1, 4], usize::MAX),
         ..ServeConfig::default()
     };
     let (addr, handle) = spawn_server(config);
