@@ -90,11 +90,6 @@ impl RegressionTree {
         }
     }
 
-    /// Number of nodes (leaves + splits).
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
     fn fit(x: &Matrix, grad: &[f64], hess: &[f64], indices: &[usize], config: &GbdtConfig) -> Self {
         let mut nodes = Vec::new();
         build(x, grad, hess, indices, 0, config, &mut nodes);

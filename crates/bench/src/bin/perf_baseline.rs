@@ -422,7 +422,7 @@ fn main() {
     let traj_reference = seed_trajectory_set_reference(&traj_plan);
     for thread_setting in [1usize, 0] {
         par::set_threads(thread_setting);
-        let generated = traj_plan.shard(0..traj_cells).generate();
+        let generated = traj_plan.clone().generate();
         for (i, (a, b)) in traj_reference
             .iter()
             .zip(generated.trajectories())
@@ -445,9 +445,9 @@ fn main() {
 
     let traj_seed_ms = best_ms(reps, || seed_trajectory_set_reference(&traj_plan));
     par::set_threads(1);
-    let traj_serial_ms = best_ms(reps, || traj_plan.shard(0..traj_cells).generate());
+    let traj_serial_ms = best_ms(reps, || traj_plan.clone().generate());
     par::set_threads(0);
-    let traj_parallel_ms = best_ms(reps, || traj_plan.shard(0..traj_cells).generate());
+    let traj_parallel_ms = best_ms(reps, || traj_plan.clone().generate());
 
     println!(
         "trajectory_generation {traj_cells} cells: seed {traj_seed_ms:.3} ms | serial \

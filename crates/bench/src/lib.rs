@@ -34,8 +34,8 @@ use calloc_eval::{
     SuiteProfile, SweepSpec,
 };
 use calloc_sim::{
-    normalize_rss, Building, BuildingId, BuildingSpec, CollectionConfig, Dataset, EnvLevel,
-    Scenario, ScenarioSpec, Trajectory, TrajectoryPlan, TrajectorySpec, RSS_FLOOR_DBM,
+    normalize_rss, Building, CollectionConfig, Dataset, EnvLevel, Scenario, ScenarioSpec,
+    Trajectory, TrajectoryPlan, TrajectorySpec, RSS_FLOOR_DBM,
 };
 use calloc_tensor::{Matrix, Rng, TensorError};
 use calloc_track::{run_trajectory_sweep, TrackConfig, TrajectoryTable};
@@ -220,27 +220,12 @@ impl Profile {
     }
 }
 
-/// The buildings evaluated at this profile. `Quick` uses two shrunken
-/// buildings (shorter paths, fewer APs) so that training completes in
-/// seconds; `Full` generates all five Table II buildings at paper scale.
+/// The buildings evaluated at this profile: the realized building axis of
+/// [`scenario_grid`]. `Quick` uses two shrunken buildings (shorter paths,
+/// fewer APs) so that training completes in seconds; `Full` generates all
+/// five Table II buildings at paper scale.
 pub fn buildings(profile: Profile) -> Vec<Building> {
-    match profile {
-        Profile::Full => BuildingId::ALL
-            .iter()
-            .map(|id| Building::generate(id.spec(), 0))
-            .collect(),
-        Profile::Quick => [BuildingId::B1, BuildingId::B3]
-            .iter()
-            .map(|id| {
-                let spec = BuildingSpec {
-                    path_length_m: 24,
-                    num_aps: 40,
-                    ..id.spec()
-                };
-                Building::generate(spec, 0)
-            })
-            .collect(),
-    }
+    scenario_grid(profile).plan().buildings().to_vec()
 }
 
 /// Collects the paper's protocol for a building (5 train / 1 test per RP,
@@ -249,7 +234,7 @@ pub fn scenario_for(building: &Building, seed: u64) -> Scenario {
     Scenario::generate(building, &CollectionConfig::paper(), seed)
 }
 
-/// The declarative scenario grid of this profile: the same buildings as
+/// The declarative scenario grid of this profile: the buildings of
 /// [`buildings`] under the paper protocol, as a `ScenarioSpec` whose cells
 /// the figure binaries generate in parallel (`Full` → the five Table II
 /// buildings, `Quick` → the two shrunken ones). Binaries override the seed
@@ -765,6 +750,7 @@ pub fn seed_scenario_generate_reference(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use calloc_sim::{BuildingId, BuildingSpec};
 
     #[test]
     fn quick_profile_is_default() {

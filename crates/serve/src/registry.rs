@@ -53,11 +53,6 @@ impl ServeMember {
         self.num_aps
     }
 
-    /// Whether this member can degrade to a cheaper fallback.
-    pub fn has_fallback(&self) -> bool {
-        self.fallback.is_some()
-    }
-
     /// Runs one micro-batch of fingerprints (rows of `x`) through the
     /// primary model — or the fallback when `degraded` is set and one is
     /// configured — and maps the predicted classes to meters. A class

@@ -1,43 +1,50 @@
-//! Declarative scenario grids: the batch data-generation engine.
+//! Declarative data grids: the batch data-generation engine.
 //!
-//! Every workload in the reproduction starts from collected scenarios, and
-//! every multi-scenario experiment (figure bins, benches, robustness
-//! sweeps) used to hand-roll its own loop around
-//! [`Scenario::generate`]. This module turns that grid into a first-class,
-//! declarative, parallel subsystem — the data-side mirror of
+//! Every workload in the reproduction starts from generated data —
+//! collected scenarios or walked trajectories — and every multi-cell
+//! experiment (figure bins, benches, robustness sweeps) is a grid of such
+//! generations. This module is that grid, the data-side mirror of
 //! `calloc_eval::sweep`:
 //!
 //! ```text
-//! ScenarioSpec  --plan-->  ScenarioPlan  --generate-->  ScenarioSet
+//! ScenarioSpec    --plan-->  ScenarioPlan    --generate-->  ScenarioSet
+//! TrajectorySpec  --plan-->  TrajectoryPlan  --generate-->  TrajectorySet
 //! ```
 //!
-//! * [`ScenarioSpec`] declares the axes: buildings × survey densities ×
-//!   device sets × environment levels × seeds, on top of a template
-//!   [`CollectionConfig`]. [`ScenarioSpec::paper`] and
+//! Both rows are one engine. A spec implements [`Grid`]: it declares its
+//! axes, enumerates their cross-product, resolves one cell's config and
+//! identity, and generates one cell. [`GridPlan`] and [`GridSet`] do the
+//! rest, and the four plan and set names above are aliases of them.
+//!
+//! * [`ScenarioSpec`] declares the scenario axes: buildings × survey
+//!   densities × device sets × environment levels × seeds, on top of a
+//!   template [`CollectionConfig`]. [`ScenarioSpec::paper`] and
 //!   [`ScenarioSpec::quick`] mirror the sweep engine's presets;
 //!   [`ScenarioSpec::single`] wraps the historical one-building call.
+//!   [`crate::TrajectorySpec`] declares the trajectory axes the same way.
 //! * [`ScenarioSpec::plan`] generates one [`Building`] realization per
 //!   building-axis entry and flattens the cross-product into a work list
-//!   of [`ScenarioCell`]s, each carrying its **plan index** — its position
-//!   in the canonical enumeration order (building-major, then density,
-//!   then device set, then environment, seed innermost).
-//! * [`ScenarioPlan::generate`] collects every cell on
+//!   of cells, each carrying its **plan index** — its position in the
+//!   canonical enumeration order (building-major, then density, then
+//!   device set, then environment, seed innermost).
+//! * [`GridPlan::generate`] generates every cell on
 //!   [`calloc_tensor::par::par_chunks`] — the work list is split into
 //!   contiguous chunks that idle pool workers reclaim off a shared queue
-//!   — and merges the scenarios **in plan-index order**. The session
-//!   fan-out inside each cell draws the full configured budget too
-//!   (nested fan-outs no longer collapse to serial).
+//!   — and merges the results **in plan-index order**. The session
+//!   fan-out inside each scenario cell draws the full configured budget
+//!   too (nested fan-outs no longer collapse to serial).
 //!
 //! # The plan-index merge contract
 //!
-//! Every cell is a pure function of its `(building, config, seed)` triple
-//! ([`Scenario::generate`] derives all randomness from the cell seed and
-//! the building seed), and the generated scenarios are reassembled by
-//! ascending plan index, so a [`ScenarioSet`] is **bit-identical for every
-//! thread count** (`CALLOC_THREADS` ∈ {1, 2, 3, …}) — and every cell is
-//! bit-identical to calling [`Scenario::generate`] directly with the same
-//! triple. `tests/determinism.rs` and
-//! `crates/sim/tests/proptest_scenario.rs` enforce both.
+//! Every cell is a pure function of its resolved axes (for a scenario,
+//! the `(building, config, seed)` triple: [`Scenario::generate`] derives
+//! all randomness from the cell seed and the building seed), and the
+//! generated cells are reassembled by ascending plan index, so a
+//! [`GridSet`] is **bit-identical for every thread count**
+//! (`CALLOC_THREADS` ∈ {1, 2, 3, …}) — and every cell is bit-identical to
+//! the direct call with the same arguments. `tests/determinism.rs`,
+//! `crates/sim/tests/proptest_scenario.rs` and
+//! `crates/sim/tests/proptest_motion.rs` enforce both.
 //!
 //! # Adding an environment axis
 //!
@@ -45,13 +52,15 @@
 //! `calloc_eval::SweepSpec` select the *adversary*), so they follow the
 //! data-side mirror of the attack-axis rule: give the axis a field on
 //! [`ScenarioSpec`] (every constructor defaulting to the axis' baseline
-//! singleton so existing plans are unchanged), fold it into
-//! [`ScenarioPlan::config_for`] so a baseline cell reproduces the template
-//! config **exactly** (bit-compatibility with pinned realizations), keep
-//! the new loop's position in the enumeration documented, and — when the
-//! axis is exposed to the sweep engine, as [`EnvLevel`] is through
+//! singleton so existing plans are unchanged), fold it into the spec's
+//! [`Grid::config_for`] so a baseline cell reproduces the template config
+//! **exactly** (bit-compatibility with pinned realizations), keep the new
+//! loop's position in the enumeration documented, and — when the axis is
+//! exposed to the sweep engine, as [`EnvLevel`] is through
 //! `SweepSpec::env_multipliers` — label it in the result rows and pin a
 //! golden CSV for it (`tests/golden/env_sweep.csv` is the template).
+
+use std::fmt::Debug;
 
 use calloc_tensor::par;
 use serde::{Deserialize, Serialize};
@@ -142,6 +151,227 @@ impl EnvLevel {
     }
 }
 
+/// The five Table II buildings at paper scale, in order: the building
+/// axis of the `paper` grid presets.
+pub(crate) fn paper_buildings() -> Vec<BuildingSpec> {
+    BuildingId::ALL.iter().map(|id| id.spec()).collect()
+}
+
+/// Two shrunken buildings (B1 and B3 at 24 m paths and 40 APs, the bench
+/// quick profile): the building axis of the `quick` grid presets.
+pub(crate) fn quick_buildings() -> Vec<BuildingSpec> {
+    [BuildingId::B1, BuildingId::B3]
+        .iter()
+        .map(|id| BuildingSpec {
+            path_length_m: 24,
+            num_aps: 40,
+            ..id.spec()
+        })
+        .collect()
+}
+
+/// The axis indices of one grid cell that the shared [`GridPlan`] and
+/// [`GridSet`] code reads. Every grid has a building, an environment and
+/// a seed axis; a domain's own axes stay on its cell type.
+pub trait GridCell {
+    /// Index into the grid's building axis.
+    fn building(&self) -> usize;
+    /// Index into the grid's environment axis.
+    fn environment(&self) -> usize;
+    /// Index into the grid's seed axis.
+    fn seed(&self) -> usize;
+}
+
+/// A declarative data grid: the part of a grid that differs between
+/// domains. [`GridPlan`] enumerates it and [`GridSet`] holds what it
+/// generated; both are shared by every implementation
+/// ([`ScenarioSpec`], [`crate::TrajectorySpec`]).
+pub trait Grid: Clone + Debug + Sync {
+    /// One unit of generation work: the cell's index on every axis.
+    type Cell: GridCell + Clone + Debug + Sync;
+    /// What one cell generates.
+    type Item: Clone + Debug + Send;
+
+    /// Building axis (outermost): one generated realization per spec.
+    fn building_specs(&self) -> &[BuildingSpec];
+    /// Salt fed to [`Building::generate`] for every building realization.
+    fn building_salt(&self) -> u64;
+    /// Environment axis: between-phase drift severity.
+    fn environments(&self) -> &[EnvLevel];
+    /// Seed axis (innermost).
+    fn seeds(&self) -> &[u64];
+    /// The cross-product of every axis, in plan-index order: each cell's
+    /// `plan_index` equals its position.
+    fn enumerate(&self) -> Vec<Self::Cell>;
+    /// The concrete collection protocol of one cell.
+    fn config_for(&self, cell: &Self::Cell) -> CollectionConfig;
+    /// Canonical identity of one cell's generation, built from the
+    /// **resolved** per-cell config: two cells of different grids that
+    /// generate the same data share one identity, and any axis that
+    /// changes the data changes it.
+    fn cell_identity(&self, cell: &Self::Cell) -> String;
+    /// Generates one cell in its building realization.
+    fn generate_cell(&self, building: &Building, cell: &Self::Cell) -> Self::Item;
+}
+
+/// A fully enumerated grid: the generated building realizations plus the
+/// flat cell work list, in plan-index order.
+#[derive(Debug, Clone)]
+pub struct GridPlan<G: Grid> {
+    spec: G,
+    buildings: Vec<Building>,
+    cells: Vec<G::Cell>,
+}
+
+impl<G: Grid> GridPlan<G> {
+    /// Enumerates `spec`: generates one [`Building`] realization per
+    /// building-axis entry (fanned out on [`par::par_chunks`], merged in
+    /// axis order) and flattens the cross-product into the plan-indexed
+    /// work list. An empty axis yields an empty plan.
+    pub(crate) fn new(spec: G) -> Self {
+        let specs = spec.building_specs();
+        let buildings: Vec<Building> = par::par_chunks(specs.len(), 1, |range| {
+            range
+                .map(|i| Building::generate(specs[i].clone(), spec.building_salt()))
+                .collect::<Vec<_>>()
+        })
+        .into_iter()
+        .flatten()
+        .collect();
+        let cells = spec.enumerate();
+        GridPlan {
+            spec,
+            buildings,
+            cells,
+        }
+    }
+
+    /// The spec this plan was enumerated from.
+    pub fn spec(&self) -> &G {
+        &self.spec
+    }
+
+    /// The generated building realizations, in building-axis order.
+    pub fn buildings(&self) -> &[Building] {
+        &self.buildings
+    }
+
+    /// The flat work list, in plan-index order.
+    pub fn cells(&self) -> &[G::Cell] {
+        &self.cells
+    }
+
+    /// Number of cells in the plan.
+    pub fn len(&self) -> usize {
+        self.cells.len()
+    }
+
+    /// Whether the plan has no cells.
+    pub fn is_empty(&self) -> bool {
+        self.cells.is_empty()
+    }
+
+    /// The concrete collection protocol of one cell (see
+    /// [`Grid::config_for`]).
+    pub fn config_for(&self, cell: &G::Cell) -> CollectionConfig {
+        self.spec.config_for(cell)
+    }
+
+    /// The generation seed of one cell.
+    pub fn seed_for(&self, cell: &G::Cell) -> u64 {
+        self.spec.seeds()[cell.seed()]
+    }
+
+    /// Canonical identity of one cell's generation (see
+    /// [`Grid::cell_identity`]).
+    pub fn cell_identity(&self, cell: &G::Cell) -> String {
+        self.spec.cell_identity(cell)
+    }
+
+    /// Executes the plan: every cell is generated (fanned out on
+    /// [`par::par_chunks`]: contiguous chunks of the work list reclaimed
+    /// by idle pool workers) and the results are merged in plan-index
+    /// order, so the returned set is bit-identical for every thread
+    /// count. Fan-outs inside a cell see the full configured budget as
+    /// well — the pool schedules nested fan-outs instead of collapsing
+    /// them to serial.
+    pub fn generate(self) -> GridSet<G> {
+        let items = par::par_chunks(self.cells.len(), 1, |range| {
+            range
+                .map(|i| {
+                    let cell = &self.cells[i];
+                    self.spec
+                        .generate_cell(&self.buildings[cell.building()], cell)
+                })
+                .collect::<Vec<_>>()
+        })
+        .into_iter()
+        .flatten()
+        .collect();
+        GridSet { plan: self, items }
+    }
+}
+
+/// A generated grid: one item per plan cell, in plan-index order,
+/// together with the plan that produced it.
+#[derive(Debug, Clone)]
+pub struct GridSet<G: Grid> {
+    plan: GridPlan<G>,
+    pub(crate) items: Vec<G::Item>,
+}
+
+impl<G: Grid> GridSet<G> {
+    /// The plan this set was generated from.
+    pub fn plan(&self) -> &GridPlan<G> {
+        &self.plan
+    }
+
+    /// Number of generated cells in the set.
+    pub fn len(&self) -> usize {
+        self.items.len()
+    }
+
+    /// Whether the set is empty.
+    pub fn is_empty(&self) -> bool {
+        self.items.is_empty()
+    }
+
+    /// The cell at a plan index.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` is out of range, as do the other per-index
+    /// accessors.
+    pub fn cell(&self, index: usize) -> &G::Cell {
+        &self.plan.cells[index]
+    }
+
+    /// The building realization a plan index was generated in.
+    pub fn building_for(&self, index: usize) -> &Building {
+        &self.plan.buildings[self.cell(index).building()]
+    }
+
+    /// The Table II name of the building a plan index was generated in.
+    pub fn building_name(&self, index: usize) -> &'static str {
+        self.building_for(index).spec().id.name()
+    }
+
+    /// The environment level a plan index was generated under.
+    pub fn env_for(&self, index: usize) -> EnvLevel {
+        self.plan.spec.environments()[self.cell(index).environment()]
+    }
+
+    /// The generation seed of a plan index.
+    pub fn seed_for(&self, index: usize) -> u64 {
+        self.plan.seed_for(self.cell(index))
+    }
+
+    /// Canonical identity of a plan index — see [`Grid::cell_identity`].
+    pub fn cell_identity(&self, index: usize) -> String {
+        self.plan.cell_identity(self.cell(index))
+    }
+}
+
 /// Declarative description of a scenario grid: the data axes crossed into
 /// a flat, plan-indexed generation work list.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -192,27 +422,14 @@ impl ScenarioSpec {
     /// protocol (5 train / 1 test fingerprints per RP, OP3 reference, all
     /// six Table I devices), baseline environment, one seed.
     pub fn paper() -> Self {
-        Self::from_base(
-            BuildingId::ALL.iter().map(|id| id.spec()).collect(),
-            0,
-            CollectionConfig::paper(),
-            vec![42],
-        )
+        Self::from_base(paper_buildings(), 0, CollectionConfig::paper(), vec![42])
     }
 
     /// The quick grid: two shrunken buildings (24 m paths, 40 APs — the
     /// bench quick profile) under the paper protocol, baseline
     /// environment, one seed.
     pub fn quick() -> Self {
-        let buildings = [BuildingId::B1, BuildingId::B3]
-            .iter()
-            .map(|id| BuildingSpec {
-                path_length_m: 24,
-                num_aps: 40,
-                ..id.spec()
-            })
-            .collect();
-        Self::from_base(buildings, 0, CollectionConfig::paper(), vec![42])
+        Self::from_base(quick_buildings(), 0, CollectionConfig::paper(), vec![42])
     }
 
     /// The historical one-building entry point as a one-cell grid: the
@@ -225,12 +442,6 @@ impl ScenarioSpec {
         seed: u64,
     ) -> Self {
         Self::from_base(vec![building], building_salt, config, vec![seed])
-    }
-
-    /// Returns a copy with the given building salt.
-    pub fn with_building_salt(mut self, salt: u64) -> Self {
-        self.building_salt = salt;
-        self
     }
 
     /// Returns a copy with the given survey-density axis.
@@ -257,27 +468,39 @@ impl ScenarioSpec {
         self
     }
 
-    /// Enumerates the grid: generates one [`Building`] realization per
-    /// building-axis entry (fanned out on
-    /// [`calloc_tensor::par::par_chunks`], merged in axis order) and
-    /// flattens the cross-product into the plan-indexed work list. An
-    /// empty axis yields an empty plan.
+    /// Enumerates the grid (see [`GridPlan`]).
     pub fn plan(&self) -> ScenarioPlan {
-        let buildings: Vec<Building> = par::par_chunks(self.buildings.len(), 1, |range| {
-            range
-                .map(|i| Building::generate(self.buildings[i].clone(), self.building_salt))
-                .collect::<Vec<_>>()
-        })
-        .into_iter()
-        .flatten()
-        .collect();
-        let mut cells = Vec::with_capacity(
-            self.buildings.len()
-                * self.densities.len()
-                * self.device_sets.len()
-                * self.environments.len()
-                * self.seeds.len(),
-        );
+        GridPlan::new(self.clone())
+    }
+
+    /// Plans and generates in one call.
+    pub fn generate(&self) -> ScenarioSet {
+        self.plan().generate()
+    }
+}
+
+impl Grid for ScenarioSpec {
+    type Cell = ScenarioCell;
+    type Item = Scenario;
+
+    fn building_specs(&self) -> &[BuildingSpec] {
+        &self.buildings
+    }
+
+    fn building_salt(&self) -> u64 {
+        self.building_salt
+    }
+
+    fn environments(&self) -> &[EnvLevel] {
+        &self.environments
+    }
+
+    fn seeds(&self) -> &[u64] {
+        &self.seeds
+    }
+
+    fn enumerate(&self) -> Vec<ScenarioCell> {
+        let mut cells = Vec::new();
         for building in 0..self.buildings.len() {
             for density in 0..self.densities.len() {
                 for device_set in 0..self.device_sets.len() {
@@ -296,16 +519,35 @@ impl ScenarioSpec {
                 }
             }
         }
-        ScenarioPlan {
-            spec: self.clone(),
-            buildings,
-            cells,
-        }
+        cells
     }
 
-    /// Plans and generates in one call.
-    pub fn generate(&self) -> ScenarioSet {
-        self.plan().generate()
+    /// The template config with the cell's density, device set and
+    /// environment applied. A cell on all-baseline axes (as produced by
+    /// [`ScenarioSpec::from_base`]) reproduces the template **exactly**,
+    /// which is what keeps grid cells bit-identical to historical
+    /// `Scenario::generate` calls.
+    fn config_for(&self, cell: &ScenarioCell) -> CollectionConfig {
+        let density = self.densities[cell.density];
+        let mut config = self.environments[cell.environment].apply(&self.base);
+        config.train_fingerprints_per_rp = density.train_per_rp;
+        config.test_fingerprints_per_rp = density.test_per_rp;
+        config.test_devices = self.device_sets[cell.device_set].clone();
+        config
+    }
+
+    /// See [`collection_identity`].
+    fn cell_identity(&self, cell: &ScenarioCell) -> String {
+        collection_identity(
+            &self.buildings[cell.building],
+            self.building_salt,
+            &self.config_for(cell),
+            self.seeds[cell.seed],
+        )
+    }
+
+    fn generate_cell(&self, building: &Building, cell: &ScenarioCell) -> Scenario {
+        Scenario::generate(building, &self.config_for(cell), self.seeds[cell.seed])
     }
 }
 
@@ -349,255 +591,36 @@ pub struct ScenarioCell {
     pub seed: usize,
 }
 
-/// A fully enumerated scenario grid: the generated building realizations
-/// plus the flat cell work list, in plan-index order.
-#[derive(Debug, Clone)]
-pub struct ScenarioPlan {
-    spec: ScenarioSpec,
-    buildings: Vec<Building>,
-    cells: Vec<ScenarioCell>,
-}
-
-impl ScenarioPlan {
-    /// The spec this plan was enumerated from.
-    pub fn spec(&self) -> &ScenarioSpec {
-        &self.spec
+impl GridCell for ScenarioCell {
+    fn building(&self) -> usize {
+        self.building
     }
 
-    /// The generated building realizations, in building-axis order.
-    pub fn buildings(&self) -> &[Building] {
-        &self.buildings
+    fn environment(&self) -> usize {
+        self.environment
     }
 
-    /// The flat work list, in plan-index order.
-    pub fn cells(&self) -> &[ScenarioCell] {
-        &self.cells
-    }
-
-    /// Number of cells in the plan.
-    pub fn len(&self) -> usize {
-        self.cells.len()
-    }
-
-    /// Whether the plan has no cells.
-    pub fn is_empty(&self) -> bool {
-        self.cells.is_empty()
-    }
-
-    /// Restricts the plan to a contiguous range of cell positions (equal
-    /// to plan indices on a full plan): the enumeration is flat and
-    /// stable, so shards are independently generatable — in separate
-    /// processes, even — and their scenarios reassemble in plan-index
-    /// order. The shard keeps the full spec and building list, and its
-    /// cells keep their **original** plan indices; on a sharded plan
-    /// [`index_of`](Self::index_of) therefore still returns parent-plan
-    /// indices, which no longer equal positions in the shard's
-    /// [`generate`](Self::generate) output.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range does not lie within `0..len()`.
-    pub fn shard(&self, range: std::ops::Range<usize>) -> ScenarioPlan {
-        assert!(
-            range.start <= range.end && range.end <= self.cells.len(),
-            "shard range {range:?} out of bounds for a {}-cell plan",
-            self.cells.len()
-        );
-        ScenarioPlan {
-            spec: self.spec.clone(),
-            buildings: self.buildings.clone(),
-            cells: self.cells[range].to_vec(),
-        }
-    }
-
-    /// The concrete collection protocol of one cell: the template config
-    /// with the cell's density, device set and environment applied. A cell
-    /// on all-baseline axes (as produced by [`ScenarioSpec::from_base`])
-    /// reproduces the template **exactly**, which is what keeps grid cells
-    /// bit-identical to historical `Scenario::generate` calls.
-    pub fn config_for(&self, cell: &ScenarioCell) -> CollectionConfig {
-        let density = self.spec.densities[cell.density];
-        let mut config = self.spec.environments[cell.environment].apply(&self.spec.base);
-        config.train_fingerprints_per_rp = density.train_per_rp;
-        config.test_fingerprints_per_rp = density.test_per_rp;
-        config.test_devices = self.spec.device_sets[cell.device_set].clone();
-        config
-    }
-
-    /// The collection seed of one cell.
-    pub fn seed_for(&self, cell: &ScenarioCell) -> u64 {
-        self.spec.seeds[cell.seed]
-    }
-
-    /// Canonical identity of one cell's collection (see
-    /// [`collection_identity`]): built from the **resolved** per-cell
-    /// config, so two cells of different grids that collect the same data
-    /// share one identity, and any axis that changes the data changes it.
-    pub fn cell_identity(&self, cell: &ScenarioCell) -> String {
-        collection_identity(
-            &self.spec.buildings[cell.building],
-            self.spec.building_salt,
-            &self.config_for(cell),
-            self.seed_for(cell),
-        )
-    }
-
-    /// Plan index of the cell at the given axis indices (the enumeration
-    /// is a dense cross-product, so this is pure arithmetic).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any index is out of range for its axis.
-    pub fn index_of(
-        &self,
-        building: usize,
-        density: usize,
-        device_set: usize,
-        environment: usize,
-        seed: usize,
-    ) -> usize {
-        assert!(
-            building < self.spec.buildings.len(),
-            "building out of range"
-        );
-        assert!(density < self.spec.densities.len(), "density out of range");
-        assert!(
-            device_set < self.spec.device_sets.len(),
-            "device set out of range"
-        );
-        assert!(
-            environment < self.spec.environments.len(),
-            "environment out of range"
-        );
-        assert!(seed < self.spec.seeds.len(), "seed out of range");
-        (((building * self.spec.densities.len() + density) * self.spec.device_sets.len()
-            + device_set)
-            * self.spec.environments.len()
-            + environment)
-            * self.spec.seeds.len()
-            + seed
-    }
-
-    /// Executes the plan: every cell is collected (fanned out on
-    /// [`par::par_chunks`]: contiguous chunks of the work list reclaimed
-    /// by idle pool workers) and the scenarios are merged in plan-index
-    /// order, so the returned set is bit-identical for every thread
-    /// count. The session-level fan-out inside [`Scenario::generate`]
-    /// sees the full configured budget as well — the pool schedules
-    /// nested fan-outs instead of collapsing them to serial.
-    pub fn generate(self) -> ScenarioSet {
-        let scenarios: Vec<Scenario> = par::par_chunks(self.cells.len(), 1, |range| {
-            range
-                .map(|i| {
-                    let cell = &self.cells[i];
-                    Scenario::generate(
-                        &self.buildings[cell.building],
-                        &self.config_for(cell),
-                        self.seed_for(cell),
-                    )
-                })
-                .collect::<Vec<_>>()
-        })
-        .into_iter()
-        .flatten()
-        .collect();
-        ScenarioSet {
-            plan: self,
-            scenarios,
-        }
+    fn seed(&self) -> usize {
+        self.seed
     }
 }
+
+/// A fully enumerated scenario grid (see [`GridPlan`]).
+pub type ScenarioPlan = GridPlan<ScenarioSpec>;
 
 /// A generated scenario grid: one collected [`Scenario`] per plan cell, in
-/// plan-index order, together with the plan that produced it.
-#[derive(Debug, Clone)]
-pub struct ScenarioSet {
-    plan: ScenarioPlan,
-    scenarios: Vec<Scenario>,
-}
+/// plan-index order (see [`GridSet`]).
+pub type ScenarioSet = GridSet<ScenarioSpec>;
 
 impl ScenarioSet {
-    /// The plan this set was generated from.
-    pub fn plan(&self) -> &ScenarioPlan {
-        &self.plan
-    }
-
-    /// Number of scenarios in the set.
-    pub fn len(&self) -> usize {
-        self.scenarios.len()
-    }
-
-    /// Whether the set is empty.
-    pub fn is_empty(&self) -> bool {
-        self.scenarios.is_empty()
-    }
-
     /// All scenarios, in plan-index order.
     pub fn scenarios(&self) -> &[Scenario] {
-        &self.scenarios
+        &self.items
     }
 
-    /// The scenario at a plan index.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of range (as do the accessors below).
+    /// The scenario at a plan index (panics like [`GridSet::cell`]).
     pub fn scenario(&self, index: usize) -> &Scenario {
-        &self.scenarios[index]
-    }
-
-    /// The cell at a plan index.
-    pub fn cell(&self, index: usize) -> &ScenarioCell {
-        &self.plan.cells()[index]
-    }
-
-    /// The building realization a plan index was collected in.
-    pub fn building_for(&self, index: usize) -> &Building {
-        &self.plan.buildings()[self.cell(index).building]
-    }
-
-    /// The Table II name of the building a plan index was collected in.
-    pub fn building_name(&self, index: usize) -> &'static str {
-        self.building_for(index).spec().id.name()
-    }
-
-    /// The environment level a plan index was collected under.
-    pub fn env_for(&self, index: usize) -> EnvLevel {
-        self.plan.spec().environments[self.cell(index).environment]
-    }
-
-    /// The collection seed a plan index was collected from.
-    pub fn seed_for(&self, index: usize) -> u64 {
-        self.plan.seed_for(self.cell(index))
-    }
-
-    /// Canonical collection identity of a plan index — see
-    /// [`ScenarioPlan::cell_identity`].
-    pub fn cell_identity(&self, index: usize) -> String {
-        self.plan.cell_identity(self.cell(index))
-    }
-
-    /// Iterates `(cell, scenario)` pairs in plan-index order.
-    pub fn iter(&self) -> impl Iterator<Item = (&ScenarioCell, &Scenario)> {
-        self.plan.cells().iter().zip(&self.scenarios)
-    }
-
-    /// Plan index of the given axis indices — see
-    /// [`ScenarioPlan::index_of`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if any index is out of range for its axis.
-    pub fn index_of(
-        &self,
-        building: usize,
-        density: usize,
-        device_set: usize,
-        environment: usize,
-        seed: usize,
-    ) -> usize {
-        self.plan
-            .index_of(building, density, device_set, environment, seed)
+        &self.items[index]
     }
 }
 
@@ -662,17 +685,6 @@ mod tests {
         assert!(!plan.is_empty());
         for (i, cell) in plan.cells().iter().enumerate() {
             assert_eq!(cell.plan_index, i, "plan index must equal position");
-            assert_eq!(
-                plan.index_of(
-                    cell.building,
-                    cell.density,
-                    cell.device_set,
-                    cell.environment,
-                    cell.seed
-                ),
-                i,
-                "index_of must invert the enumeration"
-            );
         }
         // Seed is the innermost axis.
         assert_eq!(plan.cells()[0].seed, 0);
@@ -752,50 +764,5 @@ mod tests {
             .label(),
             "drift x2 / reshadow x1"
         );
-    }
-
-    #[test]
-    fn shards_generate_the_same_scenarios_as_the_full_plan() {
-        let spec = ScenarioSpec::single(tiny_building(), 0, CollectionConfig::small(), 1)
-            .with_seeds(vec![1, 2, 3]);
-        let full = spec.plan();
-        let whole = spec.generate();
-
-        let back = full.shard(1..3);
-        assert_eq!(back.len(), 2);
-        assert_eq!(
-            back.cells()[0].plan_index,
-            1,
-            "shard cells keep their original plan indices"
-        );
-        let back_set = back.generate();
-        assert_eq!(back_set.scenario(0), whole.scenario(1));
-        assert_eq!(back_set.scenario(1), whole.scenario(2));
-
-        let front = spec.plan().shard(0..1).generate();
-        assert_eq!(front.scenario(0), whole.scenario(0));
-
-        assert!(spec.plan().shard(2..2).is_empty(), "empty shards are fine");
-    }
-
-    #[test]
-    #[should_panic(expected = "out of bounds")]
-    fn shard_rejects_an_out_of_range_window() {
-        let plan = ScenarioSpec::single(tiny_building(), 0, CollectionConfig::small(), 1).plan();
-        let _ = plan.shard(0..2);
-    }
-
-    #[test]
-    fn iter_yields_cells_with_scenarios_in_order() {
-        let set = ScenarioSpec::single(tiny_building(), 0, CollectionConfig::small(), 1)
-            .with_seeds(vec![1, 2])
-            .generate();
-        let mut count = 0;
-        for (i, (cell, scenario)) in set.iter().enumerate() {
-            assert_eq!(cell.plan_index, i);
-            assert!(!scenario.train.is_empty());
-            count += 1;
-        }
-        assert_eq!(count, 2);
     }
 }

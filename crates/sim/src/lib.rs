@@ -21,11 +21,13 @@
 //!   [`ScenarioSet`]): buildings × survey densities × device sets ×
 //!   environment levels × seeds, generated in parallel and merged in
 //!   plan-index order, so a grid is bit-identical at every
-//!   `CALLOC_THREADS` (see the [`ScenarioSpec`] docs for the grammar and
-//!   the plan-index merge contract);
+//!   `CALLOC_THREADS`. Every grid runs on one engine: a spec implements
+//!   [`Grid`] and [`GridPlan`] / [`GridSet`] enumerate, generate and
+//!   hold it (see the [`GridPlan`] docs for the grammar and the
+//!   plan-index merge contract);
 //! * **trajectory workloads** ([`MotionConfig`] / [`MotionModel`] /
-//!   [`Trajectory`] and the mirrored [`TrajectorySpec`] →
-//!   [`TrajectoryPlan`] → [`TrajectorySet`] grid): waypoint walks along
+//!   [`Trajectory`] and the [`TrajectorySpec`] → [`TrajectoryPlan`] →
+//!   [`TrajectorySet`] grid on the same engine): waypoint walks along
 //!   the RP path with RSSI sampled through the same propagation +
 //!   temporal-drift machinery — moving users instead of i.i.d. test
 //!   points (see the [`motion`](crate::Trajectory) docs for the motion
@@ -72,8 +74,8 @@ pub use building::{Building, BuildingId, BuildingSpec, Material};
 pub use dataset::Dataset;
 pub use device::DeviceProfile;
 pub use grid::{
-    collection_identity, EnvLevel, ScenarioCell, ScenarioPlan, ScenarioSet, ScenarioSpec,
-    SurveyDensity,
+    collection_identity, EnvLevel, Grid, GridCell, GridPlan, GridSet, ScenarioCell, ScenarioPlan,
+    ScenarioSet, ScenarioSpec, SurveyDensity,
 };
 pub use motion::{
     trajectory_identity, MotionConfig, MotionModel, Trajectory, TrajectoryCell, TrajectoryPlan,

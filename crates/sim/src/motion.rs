@@ -33,12 +33,11 @@
 //!
 //! # Grids and the plan-index merge contract
 //!
-//! [`TrajectorySpec`] → [`TrajectoryPlan`] → [`TrajectorySet`] mirrors the
-//! scenario grid ([`crate::ScenarioSpec`]) exactly: axes are flattened
-//! into a plan-indexed work list (building-major, then path length, then
-//! environment, seed innermost), [`TrajectoryPlan::shard`] restricts to a
-//! contiguous window keeping parent indices, and
-//! [`TrajectoryPlan::generate`] fans cells out on
+//! [`TrajectorySpec`] → [`TrajectoryPlan`] → [`TrajectorySet`] is the
+//! scenario grid's engine ([`crate::GridPlan`] / [`crate::GridSet`]) over
+//! trajectory axes: axes are flattened into a plan-indexed work list
+//! (building-major, then path length, then environment, seed innermost)
+//! and [`GridPlan::generate`] fans cells out on
 //! [`calloc_tensor::par::par_chunks`] merging in plan-index order — a
 //! [`TrajectorySet`] is **bit-identical at every `CALLOC_THREADS`**.
 //! Every trajectory derives all randomness from its cell seed and the
@@ -46,11 +45,11 @@
 //! one for the measurement session), so cells are pure functions of
 //! `(building, motion, config, steps, seed)`.
 
-use calloc_tensor::{par, Matrix, Rng};
+use calloc_tensor::{Matrix, Rng};
 use serde::{Deserialize, Serialize};
 
-use crate::building::{Building, BuildingId, BuildingSpec};
-use crate::grid::EnvLevel;
+use crate::building::{Building, BuildingSpec};
+use crate::grid::{paper_buildings, quick_buildings, EnvLevel, Grid, GridCell, GridPlan, GridSet};
 use crate::propagation::{normalize_rss, RSS_FLOOR_DBM};
 use crate::scenario::{CollectionConfig, PhaseDrift};
 
@@ -308,7 +307,7 @@ impl TrajectorySpec {
     /// baseline environment, one seed.
     pub fn paper() -> Self {
         Self::from_base(
-            BuildingId::ALL.iter().map(|id| id.spec()).collect(),
+            paper_buildings(),
             0,
             MotionConfig::paper(),
             CollectionConfig::paper(),
@@ -321,16 +320,8 @@ impl TrajectorySpec {
     /// bench quick profile), two path lengths, baseline environment, one
     /// seed.
     pub fn quick() -> Self {
-        let buildings = [BuildingId::B1, BuildingId::B3]
-            .iter()
-            .map(|id| BuildingSpec {
-                path_length_m: 24,
-                num_aps: 40,
-                ..id.spec()
-            })
-            .collect();
         Self::from_base(
-            buildings,
+            quick_buildings(),
             0,
             MotionConfig::paper(),
             CollectionConfig::paper(),
@@ -359,12 +350,6 @@ impl TrajectorySpec {
         )
     }
 
-    /// Returns a copy with the given building salt.
-    pub fn with_building_salt(mut self, salt: u64) -> Self {
-        self.building_salt = salt;
-        self
-    }
-
     /// Returns a copy with the given path-length axis.
     pub fn with_path_lengths(mut self, path_lengths: Vec<usize>) -> Self {
         self.path_lengths = path_lengths;
@@ -383,25 +368,39 @@ impl TrajectorySpec {
         self
     }
 
-    /// Enumerates the grid: generates one [`Building`] realization per
-    /// building-axis entry (fanned out on [`par::par_chunks`], merged in
-    /// axis order) and flattens the cross-product into the plan-indexed
-    /// work list. An empty axis yields an empty plan.
+    /// Enumerates the grid (see [`GridPlan`]).
     pub fn plan(&self) -> TrajectoryPlan {
-        let buildings: Vec<Building> = par::par_chunks(self.buildings.len(), 1, |range| {
-            range
-                .map(|i| Building::generate(self.buildings[i].clone(), self.building_salt))
-                .collect::<Vec<_>>()
-        })
-        .into_iter()
-        .flatten()
-        .collect();
-        let mut cells = Vec::with_capacity(
-            self.buildings.len()
-                * self.path_lengths.len()
-                * self.environments.len()
-                * self.seeds.len(),
-        );
+        GridPlan::new(self.clone())
+    }
+
+    /// Plans and generates in one call.
+    pub fn generate(&self) -> TrajectorySet {
+        self.plan().generate()
+    }
+}
+
+impl Grid for TrajectorySpec {
+    type Cell = TrajectoryCell;
+    type Item = Trajectory;
+
+    fn building_specs(&self) -> &[BuildingSpec] {
+        &self.buildings
+    }
+
+    fn building_salt(&self) -> u64 {
+        self.building_salt
+    }
+
+    fn environments(&self) -> &[EnvLevel] {
+        &self.environments
+    }
+
+    fn seeds(&self) -> &[u64] {
+        &self.seeds
+    }
+
+    fn enumerate(&self) -> Vec<TrajectoryCell> {
+        let mut cells = Vec::new();
         for building in 0..self.buildings.len() {
             for path_length in 0..self.path_lengths.len() {
                 for environment in 0..self.environments.len() {
@@ -417,16 +416,36 @@ impl TrajectorySpec {
                 }
             }
         }
-        TrajectoryPlan {
-            spec: self.clone(),
-            buildings,
-            cells,
-        }
+        cells
     }
 
-    /// Plans and generates in one call.
-    pub fn generate(&self) -> TrajectorySet {
-        self.plan().generate()
+    /// The template config with the cell's environment applied. A
+    /// baseline cell reproduces the template **exactly** (multiplying by
+    /// `1.0` preserves bits).
+    fn config_for(&self, cell: &TrajectoryCell) -> CollectionConfig {
+        self.environments[cell.environment].apply(&self.base)
+    }
+
+    /// See [`trajectory_identity`].
+    fn cell_identity(&self, cell: &TrajectoryCell) -> String {
+        trajectory_identity(
+            &self.buildings[cell.building],
+            self.building_salt,
+            &self.motion,
+            &self.config_for(cell),
+            self.path_lengths[cell.path_length],
+            self.seeds[cell.seed],
+        )
+    }
+
+    fn generate_cell(&self, building: &Building, cell: &TrajectoryCell) -> Trajectory {
+        Trajectory::generate(
+            building,
+            &self.motion,
+            &self.config_for(cell),
+            self.path_lengths[cell.path_length],
+            self.seeds[cell.seed],
+        )
     }
 }
 
@@ -448,248 +467,50 @@ pub struct TrajectoryCell {
     pub seed: usize,
 }
 
-/// A fully enumerated trajectory grid: the generated building
-/// realizations plus the flat cell work list, in plan-index order.
-#[derive(Debug, Clone)]
-pub struct TrajectoryPlan {
-    spec: TrajectorySpec,
-    buildings: Vec<Building>,
-    cells: Vec<TrajectoryCell>,
+impl GridCell for TrajectoryCell {
+    fn building(&self) -> usize {
+        self.building
+    }
+
+    fn environment(&self) -> usize {
+        self.environment
+    }
+
+    fn seed(&self) -> usize {
+        self.seed
+    }
 }
 
+/// A fully enumerated trajectory grid (see [`GridPlan`]).
+pub type TrajectoryPlan = GridPlan<TrajectorySpec>;
+
 impl TrajectoryPlan {
-    /// The spec this plan was enumerated from.
-    pub fn spec(&self) -> &TrajectorySpec {
-        &self.spec
-    }
-
-    /// The generated building realizations, in building-axis order.
-    pub fn buildings(&self) -> &[Building] {
-        &self.buildings
-    }
-
-    /// The flat work list, in plan-index order.
-    pub fn cells(&self) -> &[TrajectoryCell] {
-        &self.cells
-    }
-
-    /// Number of cells in the plan.
-    pub fn len(&self) -> usize {
-        self.cells.len()
-    }
-
-    /// Whether the plan has no cells.
-    pub fn is_empty(&self) -> bool {
-        self.cells.is_empty()
-    }
-
-    /// Restricts the plan to a contiguous range of cell positions, the
-    /// [`crate::ScenarioPlan::shard`] contract verbatim: the shard keeps
-    /// the full spec and building list, and its cells keep their
-    /// **original** plan indices.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range does not lie within `0..len()`.
-    pub fn shard(&self, range: std::ops::Range<usize>) -> TrajectoryPlan {
-        assert!(
-            range.start <= range.end && range.end <= self.cells.len(),
-            "shard range {range:?} out of bounds for a {}-cell plan",
-            self.cells.len()
-        );
-        TrajectoryPlan {
-            spec: self.spec.clone(),
-            buildings: self.buildings.clone(),
-            cells: self.cells[range].to_vec(),
-        }
-    }
-
-    /// The concrete collection protocol of one cell: the template config
-    /// with the cell's environment applied. A baseline cell reproduces
-    /// the template **exactly** (multiplying by `1.0` preserves bits).
-    pub fn config_for(&self, cell: &TrajectoryCell) -> CollectionConfig {
-        self.spec.environments[cell.environment].apply(&self.spec.base)
-    }
-
     /// The number of sample ticks of one cell.
     pub fn steps_for(&self, cell: &TrajectoryCell) -> usize {
-        self.spec.path_lengths[cell.path_length]
-    }
-
-    /// The generation seed of one cell.
-    pub fn seed_for(&self, cell: &TrajectoryCell) -> u64 {
-        self.spec.seeds[cell.seed]
-    }
-
-    /// Canonical identity of one cell's trajectory (see
-    /// [`trajectory_identity`]), built from the **resolved** per-cell
-    /// config.
-    pub fn cell_identity(&self, cell: &TrajectoryCell) -> String {
-        trajectory_identity(
-            &self.spec.buildings[cell.building],
-            self.spec.building_salt,
-            &self.spec.motion,
-            &self.config_for(cell),
-            self.steps_for(cell),
-            self.seed_for(cell),
-        )
-    }
-
-    /// Plan index of the cell at the given axis indices (the enumeration
-    /// is a dense cross-product, so this is pure arithmetic).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any index is out of range for its axis.
-    pub fn index_of(
-        &self,
-        building: usize,
-        path_length: usize,
-        environment: usize,
-        seed: usize,
-    ) -> usize {
-        assert!(
-            building < self.spec.buildings.len(),
-            "building out of range"
-        );
-        assert!(
-            path_length < self.spec.path_lengths.len(),
-            "path length out of range"
-        );
-        assert!(
-            environment < self.spec.environments.len(),
-            "environment out of range"
-        );
-        assert!(seed < self.spec.seeds.len(), "seed out of range");
-        ((building * self.spec.path_lengths.len() + path_length) * self.spec.environments.len()
-            + environment)
-            * self.spec.seeds.len()
-            + seed
-    }
-
-    /// Executes the plan: every cell is walked and measured (fanned out
-    /// on [`par::par_chunks`]) and the trajectories are merged in
-    /// plan-index order, so the returned set is bit-identical for every
-    /// thread count.
-    pub fn generate(self) -> TrajectorySet {
-        let trajectories: Vec<Trajectory> = par::par_chunks(self.cells.len(), 1, |range| {
-            range
-                .map(|i| {
-                    let cell = &self.cells[i];
-                    Trajectory::generate(
-                        &self.buildings[cell.building],
-                        &self.spec.motion,
-                        &self.config_for(cell),
-                        self.steps_for(cell),
-                        self.seed_for(cell),
-                    )
-                })
-                .collect::<Vec<_>>()
-        })
-        .into_iter()
-        .flatten()
-        .collect();
-        TrajectorySet {
-            plan: self,
-            trajectories,
-        }
+        self.spec().path_lengths[cell.path_length]
     }
 }
 
 /// A generated trajectory grid: one [`Trajectory`] per plan cell, in
-/// plan-index order, together with the plan that produced it.
-#[derive(Debug, Clone)]
-pub struct TrajectorySet {
-    plan: TrajectoryPlan,
-    trajectories: Vec<Trajectory>,
-}
+/// plan-index order (see [`GridSet`]).
+pub type TrajectorySet = GridSet<TrajectorySpec>;
 
 impl TrajectorySet {
-    /// The plan this set was generated from.
-    pub fn plan(&self) -> &TrajectoryPlan {
-        &self.plan
-    }
-
-    /// Number of trajectories in the set.
-    pub fn len(&self) -> usize {
-        self.trajectories.len()
-    }
-
-    /// Whether the set is empty.
-    pub fn is_empty(&self) -> bool {
-        self.trajectories.is_empty()
-    }
-
     /// All trajectories, in plan-index order.
     pub fn trajectories(&self) -> &[Trajectory] {
-        &self.trajectories
+        &self.items
     }
 
-    /// The trajectory at a plan index.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of range (as do the accessors below).
+    /// The trajectory at a plan index (panics like [`GridSet::cell`]).
     pub fn trajectory(&self, index: usize) -> &Trajectory {
-        &self.trajectories[index]
-    }
-
-    /// The cell at a plan index.
-    pub fn cell(&self, index: usize) -> &TrajectoryCell {
-        &self.plan.cells()[index]
-    }
-
-    /// The building realization a plan index was walked in.
-    pub fn building_for(&self, index: usize) -> &Building {
-        &self.plan.buildings()[self.cell(index).building]
-    }
-
-    /// The Table II name of the building a plan index was walked in.
-    pub fn building_name(&self, index: usize) -> &'static str {
-        self.building_for(index).spec().id.name()
-    }
-
-    /// The environment level a plan index was measured under.
-    pub fn env_for(&self, index: usize) -> EnvLevel {
-        self.plan.spec().environments[self.cell(index).environment]
-    }
-
-    /// The generation seed of a plan index.
-    pub fn seed_for(&self, index: usize) -> u64 {
-        self.plan.seed_for(self.cell(index))
-    }
-
-    /// Canonical identity of a plan index — see
-    /// [`TrajectoryPlan::cell_identity`].
-    pub fn cell_identity(&self, index: usize) -> String {
-        self.plan.cell_identity(self.cell(index))
-    }
-
-    /// Iterates `(cell, trajectory)` pairs in plan-index order.
-    pub fn iter(&self) -> impl Iterator<Item = (&TrajectoryCell, &Trajectory)> {
-        self.plan.cells().iter().zip(&self.trajectories)
-    }
-
-    /// Plan index of the given axis indices — see
-    /// [`TrajectoryPlan::index_of`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if any index is out of range for its axis.
-    pub fn index_of(
-        &self,
-        building: usize,
-        path_length: usize,
-        environment: usize,
-        seed: usize,
-    ) -> usize {
-        self.plan.index_of(building, path_length, environment, seed)
+        &self.items[index]
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::building::BuildingId;
 
     fn tiny_building() -> BuildingSpec {
         BuildingSpec {
@@ -732,11 +553,6 @@ mod tests {
         assert!(!plan.is_empty());
         for (i, cell) in plan.cells().iter().enumerate() {
             assert_eq!(cell.plan_index, i, "plan index must equal position");
-            assert_eq!(
-                plan.index_of(cell.building, cell.path_length, cell.environment, cell.seed),
-                i,
-                "index_of must invert the enumeration"
-            );
         }
         // Seed is the innermost axis; building the outermost.
         assert_eq!(plan.cells()[0].seed, 0);
@@ -871,74 +687,6 @@ mod tests {
         for row in 0..6 {
             assert_eq!(short.observations.row(row), long.observations.row(row));
         }
-    }
-
-    #[test]
-    fn shards_generate_the_same_trajectories_as_the_full_plan() {
-        let spec = TrajectorySpec::single(
-            tiny_building(),
-            0,
-            MotionConfig::paper(),
-            CollectionConfig::small(),
-            5,
-            1,
-        )
-        .with_seeds(vec![1, 2, 3]);
-        let full = spec.plan();
-        let whole = spec.generate();
-
-        let back = full.shard(1..3);
-        assert_eq!(back.len(), 2);
-        assert_eq!(
-            back.cells()[0].plan_index,
-            1,
-            "shard cells keep their original plan indices"
-        );
-        let back_set = back.generate();
-        assert_eq!(back_set.trajectory(0), whole.trajectory(1));
-        assert_eq!(back_set.trajectory(1), whole.trajectory(2));
-
-        let front = spec.plan().shard(0..1).generate();
-        assert_eq!(front.trajectory(0), whole.trajectory(0));
-
-        assert!(spec.plan().shard(2..2).is_empty(), "empty shards are fine");
-    }
-
-    #[test]
-    #[should_panic(expected = "out of bounds")]
-    fn shard_rejects_an_out_of_range_window() {
-        let plan = TrajectorySpec::single(
-            tiny_building(),
-            0,
-            MotionConfig::paper(),
-            CollectionConfig::small(),
-            5,
-            1,
-        )
-        .plan();
-        let _ = plan.shard(0..2);
-    }
-
-    #[test]
-    fn iter_yields_cells_with_trajectories_in_order() {
-        let set = TrajectorySpec::single(
-            tiny_building(),
-            0,
-            MotionConfig::paper(),
-            CollectionConfig::small(),
-            5,
-            1,
-        )
-        .with_seeds(vec![1, 2])
-        .generate();
-        let mut count = 0;
-        for (i, (cell, trajectory)) in set.iter().enumerate() {
-            assert_eq!(cell.plan_index, i);
-            assert_eq!(trajectory.len(), 5);
-            count += 1;
-        }
-        assert_eq!(count, 2);
-        assert_eq!(set.index_of(0, 0, 0, 1), 1);
     }
 
     #[test]

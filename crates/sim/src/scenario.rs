@@ -3,7 +3,7 @@
 //! [`Scenario::generate`] is the single-scenario entry point; grids of
 //! scenarios (buildings × survey densities × device sets × environment
 //! levels × seeds) are declared with [`crate::ScenarioSpec`] and generated
-//! in parallel by [`crate::ScenarioPlan::generate`].
+//! in parallel by the shared grid engine ([`crate::GridPlan::generate`]).
 //!
 //! # Parallelism and the session merge contract
 //!
@@ -25,7 +25,7 @@
 //! RPs (each draw count is data-dependent), so splitting it per RP would
 //! require per-RP forks and change every pinned realization — the golden
 //! regression tier (`tests/golden/quick_sweep.csv`) forbids that. Grids
-//! scale across cells instead (see [`crate::ScenarioPlan`]).
+//! scale across cells instead (see [`crate::GridPlan`]).
 
 use calloc_tensor::{par, Matrix, Rng};
 use serde::{Deserialize, Serialize};

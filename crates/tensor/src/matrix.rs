@@ -380,11 +380,6 @@ impl Matrix {
         &mut self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// Copies row `r` into a new 1-row matrix.
-    pub fn row_matrix(&self, r: usize) -> Matrix {
-        Matrix::row_vector(self.row(r))
-    }
-
     /// Copies column `c` into a `Vec`.
     ///
     /// # Panics
@@ -430,13 +425,6 @@ impl Matrix {
             rows: self.rows,
             cols: self.cols,
             data: self.data.iter().map(|&x| f(x)).collect(),
-        }
-    }
-
-    /// Applies `f` to every element in place.
-    pub fn map_inplace(&mut self, f: impl Fn(f64) -> f64) {
-        for x in &mut self.data {
-            *x = f(*x);
         }
     }
 
